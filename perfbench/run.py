@@ -18,7 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("loopback-tcp", "sharded-wal", "pipelined-local", "sim-churn")
+WORKLOADS = ("loopback-tcp", "sharded-wal", "sim-churn")
 RUN_TIMEOUT_S = 170
 
 

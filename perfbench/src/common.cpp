@@ -1,12 +1,70 @@
 #include "common.hpp"
 
+#include <spawn.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <limits>
 
+extern char** environ;
+
 namespace perfbench {
+
+namespace {
+
+/// Run set-up round `k` in a fresh process of this program; its seconds,
+/// or -1 when it failed.
+double spawn_round(const Options& opt, int k) {
+  char seed[32];
+  char seconds[32];
+  std::snprintf(seed, sizeof seed, "%llu", static_cast<unsigned long long>(opt.seed));
+  std::snprintf(seconds, sizeof seconds, "%g", opt.seconds);
+  const std::string round = std::to_string(k);
+  const std::string dir = opt.work_dir.string();
+  const char* argv[] = {"perfbench",      "--workload", opt.workload.c_str(), "--seed",
+                        seed,             "--seconds",  seconds,             "--trace",
+                        "0",              "--work-dir", dir.c_str(),         "--setup-round",
+                        round.c_str(),    nullptr};
+  int fds[2];
+  if (pipe(fds) != 0) return -1;
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_adddup2(&actions, fds[1], STDOUT_FILENO);
+  posix_spawn_file_actions_addclose(&actions, fds[0]);
+  posix_spawn_file_actions_addclose(&actions, fds[1]);
+  pid_t pid = -1;
+  const int err = posix_spawn(&pid, "/proc/self/exe", &actions, nullptr,
+                              const_cast<char* const*>(argv), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  close(fds[1]);
+  std::string out;
+  char buf[128];
+  for (ssize_t got; err == 0 && (got = read(fds[0], buf, sizeof buf)) != 0;) {
+    if (got > 0) {
+      out.append(buf, static_cast<std::size_t>(got));
+    } else if (errno != EINTR) {
+      break;
+    }
+  }
+  close(fds[0]);
+  if (err != 0) return -1;
+  int status = 0;
+  while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) return -1;
+  char* end = nullptr;
+  const double v = std::strtod(out.c_str(), &end);
+  return end == out.c_str() ? -1 : v;
+}
+
+}  // namespace
 
 std::int64_t process_cpu_ns() {
   rusage ru{};
@@ -38,6 +96,23 @@ std::uint64_t bytes_written() {
     if (key == "wchar:") return value;
   }
   return 0;
+}
+
+void SetupSamples::take(int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    seconds_.push_back(spawn_round(opt_, static_cast<int>(seconds_.size())));
+  }
+}
+
+double SetupSamples::median(RunResult& r) const {
+  if (seconds_.empty()) return 0;
+  std::vector<double> sorted = seconds_;
+  std::sort(sorted.begin(), sorted.end());
+  if (sorted.front() < 0) r.violate("setup: a set-up round failed");
+  const double mid = perfbench::median(seconds_);
+  std::fprintf(stderr, "setup: %zu rounds, min %.4f median %.4f max %.4f s\n", sorted.size(),
+               sorted.front(), mid, sorted.back());
+  return mid;
 }
 
 LatencySummary summarize(const std::vector<CommitLedger::Times>& times) {

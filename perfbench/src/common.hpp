@@ -18,6 +18,8 @@ struct Options {
   double seconds{10};
   bool trace{false};
   std::filesystem::path work_dir;  ///< scratch for WAL directories and span files
+  /// >= 0: run only set-up round k and print its seconds (SetupSamples).
+  int setup_round{-1};
 };
 
 struct Metric {
@@ -47,6 +49,29 @@ struct RunResult {
 [[nodiscard]] double peak_rss_mb();
 /// Bytes this process has passed to write(2) so far (/proc/self/io wchar).
 [[nodiscard]] std::uint64_t bytes_written();
+
+/// setup_s: set-up rounds (seconds from build to the first f+1 commit of
+/// one warm-up request) and their median.
+///
+/// Each round runs in a fresh process -- this program started again with
+/// --setup-round -- as a user's program builds its cluster. A round run in
+/// this process, or in a child forked from it, starts from whatever heap
+/// the run's earlier work left: one sim-churn round took 275, 400 or 612
+/// page faults depending on when it ran, and the median moved with them.
+/// A run takes its rounds in groups spread over the run, so a noisy
+/// stretch of the shared machine moves a share of them, not all.
+class SetupSamples {
+ public:
+  explicit SetupSamples(const Options& opt) : opt_(opt) {}
+  /// Run `rounds` more rounds; a failed round records -1.
+  void take(int rounds);
+  /// The median; a violation when any round failed.
+  [[nodiscard]] double median(RunResult& r) const;
+
+ private:
+  const Options& opt_;
+  std::vector<double> seconds_;
+};
 
 /// Latency summary of ledger entries: f+1 commit time minus scheduled time.
 /// Requests not committed count as infinitely late (they miss every limit).

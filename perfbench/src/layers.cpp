@@ -102,10 +102,12 @@ void emit_layers(const LayerTally& t, RunResult& r) {
   r.add("workload.gen_late_p99_ms", q(t.gen_late_us, 0.99) / 1e3, "ms");
   r.add("workload.admit_ratio", per(static_cast<double>(t.admitted), t.attempted), "ratio");
   r.add("fail_ratio", per(static_cast<double>(t.failed), t.attempted), "ratio");
-  // End-to-end tail latency, reported here because its run-to-run spread on
-  // the real-time workloads exceeds any bound an end-to-end metric may have
-  // (README.md, "Measured spread").
+  // End-to-end latency and capacity, reported here because on the real-time
+  // workloads their run-to-run spread on a shared machine exceeds any bound
+  // an end-to-end metric may have (README.md, "Measured spread").
+  r.add("commit_p50_ms", t.untraced_p50_ms, "ms");
   r.add("commit_p99_ms", t.untraced_p99_ms, "ms");
+  r.add("capacity_tx_s", t.capacity_tx_s, "tx/s");
 
   r.add("runtime.submit_call_us_p50", q(t.submit_call_us, 0.5), "us");
   r.add("runtime.deliver_wait_us_p50", q(t.deliver_wait_us, 0.5), "us");

@@ -59,8 +59,10 @@ struct LayerTally {
   std::uint64_t sim_msgs{0};
   std::uint64_t sim_bytes{0};
   std::int64_t sim_wall_ns{0};
-  // commit p99 of the untraced windows; tracing cost: commit p50 and CPU
-  // per request, untraced vs traced
+  // commit p50/p99 of the untraced windows and the untraced cluster's
+  // capacity; tracing cost: commit p50 and CPU per request, untraced vs
+  // traced
+  double capacity_tx_s{0};
   double untraced_p99_ms{0};
   double untraced_p50_ms{0};
   double traced_p50_ms{0};

@@ -34,10 +34,9 @@ inline constexpr std::int64_t kNotYet = std::numeric_limits<std::int64_t>::max()
 
 class CommitLedger {
  public:
-  /// `n` replicas tolerating `f` faults, `shards` chains per replica;
-  /// `verify_bytes` re-encodes every delivered request and compares bytes.
-  CommitLedger(std::uint32_t n, std::uint32_t f, std::uint32_t shards, bool verify_bytes = true)
-      : n_(n), f_(f), router_(shards), verify_(verify_bytes) {
+  /// `n` replicas tolerating `f` faults, `shards` chains per replica.
+  CommitLedger(std::uint32_t n, std::uint32_t f, std::uint32_t shards)
+      : n_(n), f_(f), router_(shards) {
     for (std::uint32_t r = 0; r < n; ++r) observer_replica_.push_back(r);
     shard_f1_.assign(shards, 0);
   }
@@ -96,6 +95,12 @@ class CommitLedger {
     t.requests = recs_.size();
     t.f1_per_shard = shard_f1_;
     return t;
+  }
+
+  /// Requests f+1 distinct replicas delivered so far.
+  [[nodiscard]] std::uint64_t f1_count() const {
+    std::lock_guard<std::mutex> lk(mx_);
+    return totals_.f1;
   }
 
   /// Scheduled and f+1 commit times of requests [first, last) (kNotYet when
@@ -157,13 +162,11 @@ class CommitLedger {
       ++totals_.foreign;
       return;
     }
-    if (verify_) {
-      const auto expect = tbft::workload::encode_request(tbft::workload::tag_client(*tag),
-                                                   tbft::workload::tag_seq(*tag), r.bytes);
-      if (!std::equal(expect.begin(), expect.end(), frame.begin())) {
-        ++totals_.foreign;
-        return;
-      }
+    const auto expect = tbft::workload::encode_request(tbft::workload::tag_client(*tag),
+                                                       tbft::workload::tag_seq(*tag), r.bytes);
+    if (!std::equal(expect.begin(), expect.end(), frame.begin())) {
+      ++totals_.foreign;
+      return;
     }
     const std::uint32_t shard = tbft::shard::stream_shard(stream);
     if (router_.shards() > 1 && router_.shard_of(*tag) != shard) ++totals_.misrouted;
@@ -193,7 +196,6 @@ class CommitLedger {
   const std::uint32_t n_;
   const std::uint32_t f_;
   const tbft::shard::ShardRouter router_;
-  const bool verify_;
   mutable std::mutex mx_;
   std::function<void(std::uint64_t)> f1_listener_;
   std::deque<Rec> recs_;                         // guarded by mx_

@@ -3,6 +3,9 @@
 //   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //             --work-dir <dir>
 //
+// (The program also starts itself with --setup-round <k> to time one
+// set-up round in a fresh process; it then prints only the seconds.)
+//
 // Prints progress on stderr and, as the last line of stdout, one JSON
 // object: {"correct", "attempted", "failed", "metrics": {name: {value,
 // unit}}}. A run that violates correctness (or whose generator fell
@@ -21,7 +24,7 @@ namespace {
 int usage(const char* why) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload <loopback-tcp|sharded-wal|"
-               "pipelined-local|sim-churn> --seed <n> --seconds <s> --trace <0|1> "
+               "sim-churn> --seed <n> --seconds <s> --trace <0|1> "
                "--work-dir <dir>\n",
                why);
   return 2;
@@ -49,6 +52,11 @@ int main(int argc, char** argv) {
     } else if (key == "--trace") {
       if (val != "0" && val != "1") return usage("--trace takes 0 or 1");
       opt.trace = val == "1";
+    } else if (key == "--setup-round") {
+      opt.setup_round = static_cast<int>(std::strtol(val.c_str(), &end, 10));
+      if (end == val.c_str() || *end != '\0' || opt.setup_round < 0) {
+        return usage("--setup-round takes a round number");
+      }
     } else if (key == "--work-dir") {
       opt.work_dir = val;
       have_dir = true;
@@ -59,15 +67,18 @@ int main(int argc, char** argv) {
   if (!have_dir) return usage("--work-dir is required");
   std::filesystem::create_directories(opt.work_dir);
 
-  perfbench::RunResult r;
-  if (opt.workload == "sim-churn") {
-    r = perfbench::run_sim_churn(opt);
-  } else if (opt.workload == "loopback-tcp" || opt.workload == "sharded-wal" ||
-             opt.workload == "pipelined-local") {
-    r = perfbench::run_realtime(opt);
-  } else {
+  const bool sim = opt.workload == "sim-churn";
+  if (!sim && opt.workload != "loopback-tcp" && opt.workload != "sharded-wal") {
     return usage(("unknown workload '" + opt.workload + "'").c_str());
   }
+  if (opt.setup_round >= 0) {
+    const double s = sim ? perfbench::sim_churn_setup_round(opt)
+                         : perfbench::realtime_setup_round(opt);
+    std::printf("%.17g\n", s);
+    return s < 0 ? 1 : 0;
+  }
+
+  perfbench::RunResult r = sim ? perfbench::run_sim_churn(opt) : perfbench::run_realtime(opt);
 
   for (const auto& m : r.metrics) {
     std::fprintf(stderr, "  %-34s %16.6f %s\n", m.name.c_str(), m.value, m.unit.c_str());

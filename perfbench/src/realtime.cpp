@@ -1,9 +1,10 @@
-// The three real-time workloads: loopback-tcp, sharded-wal and
-// pipelined-local. Each drives a ClusterBuilder-built cluster with an
-// open-loop, seeded Poisson generator on one thread and measures f+1
-// commit latency at a reference rate below the knee, then searches for
-// capacity. The traced run rebuilds the same configuration from
-// ClusterBuilder::node_config() with TracedNode decorators installed.
+// The two real-time workloads: loopback-tcp and sharded-wal. The untraced
+// run drives a ClusterBuilder-built cluster in a closed loop that keeps it
+// saturated and measures CPU per committed request. The traced run measures
+// f+1 commit latency at a reference rate below the knee with an open-loop,
+// seeded Poisson generator on one thread, searches for capacity, then
+// rebuilds the same configuration from ClusterBuilder::node_config() with
+// TracedNode decorators installed.
 
 #include "workloads.hpp"
 
@@ -11,7 +12,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -30,13 +33,11 @@ using Chains = std::vector<std::vector<MultishotNode*>>;
 
 namespace {
 
-enum class Backend { kSocket, kSharded, kLocal };
+enum class Backend { kSocket, kSharded };
 
 struct RtSpec {
-  Backend backend{Backend::kLocal};
+  Backend backend{Backend::kSocket};
   std::uint32_t shards{1};
-  std::uint32_t depth{1};
-  std::uint32_t adaptive{0};  ///< adaptive batching ceiling (0 = off)
   bool wal{false};
   std::uint32_t request_bytes{64};
   /// Request client ids are drawn from [0, key_clients): the key space the
@@ -52,24 +53,16 @@ constexpr double kP99LimitMs = 100;
 
 RtSpec spec_for(const std::string& name) {
   RtSpec w;
+  w.ref_rate = 3000;
   if (name == "loopback-tcp") {
-    w.backend = Backend::kSocket;
-    w.ref_rate = 3000;
     w.cap_start = 60000;
-  } else if (name == "sharded-wal") {
+  } else {  // sharded-wal
     w.backend = Backend::kSharded;
     w.shards = 4;
     w.wal = true;
     w.request_bytes = 320;
     w.key_clients = 1u << 20;
-    w.ref_rate = 3000;
     w.cap_start = 40000;
-  } else {  // pipelined-local: runnable by hand, not in BENCHMARK.json (README.md)
-    w.backend = Backend::kLocal;
-    w.depth = 4;
-    w.adaptive = 16 * 64;  // 16x the default batch cap
-    w.ref_rate = 2000;
-    w.cap_start = 6000;
   }
   return w;
 }
@@ -78,9 +71,7 @@ tbft::ClusterBuilder builder_for(const RtSpec& w, std::uint64_t seed, const fs::
   tbft::ClusterBuilder b;
   // Δ = 10 ms, as in sim-churn: loopback needs no more, and it keeps the
   // sim twin's view changes and range-sync retries short and steady.
-  b.nodes(4).seed(seed).shards(w.shards).pipelining(w.depth).delta_bound(
-      10 * tbft::runtime::kMillisecond);
-  if (w.adaptive > 0) b.adaptive_batching(w.adaptive);
+  b.nodes(4).seed(seed).shards(w.shards).delta_bound(10 * tbft::runtime::kMillisecond);
   if (w.wal) b.data_dir(data.string());
   return b;
 }
@@ -137,16 +128,11 @@ class FacadeTarget final : public Target {
 std::unique_ptr<Target> make_facade(const RtSpec& w, std::uint64_t seed, const fs::path& data,
                                     CommitLedger& ledger) {
   const tbft::ClusterBuilder b = builder_for(w, seed, data);
-  switch (w.backend) {
-    case Backend::kSocket:
-      return std::make_unique<FacadeTarget<tbft::SocketCluster>>(b.build_socket(), ledger, 1);
-    case Backend::kSharded:
-      return std::make_unique<FacadeTarget<tbft::ShardedCluster>>(b.build_sharded_local(),
-                                                                  ledger, w.shards);
-    case Backend::kLocal:
-      break;
+  if (w.backend == Backend::kSocket) {
+    return std::make_unique<FacadeTarget<tbft::SocketCluster>>(b.build_socket(), ledger, 1);
   }
-  return std::make_unique<FacadeTarget<tbft::Cluster>>(b.build_local(), ledger, 1);
+  return std::make_unique<FacadeTarget<tbft::ShardedCluster>>(b.build_sharded_local(), ledger,
+                                                              w.shards);
 }
 
 /// Forwards commits from any host to the ledger (sinks may run concurrently
@@ -386,6 +372,72 @@ Phase run_phase(Target& target, CommitLedger& ledger, const RtSpec& w, tbft::Rng
   return ph;
 }
 
+/// One saturated round of an untraced run: a closed loop that keeps
+/// `outstanding` requests submitted but not yet f+1-committed, so every
+/// batch closes full and the work per request does not depend on timing.
+/// Figures are sampled per interval.
+struct Saturation {
+  std::vector<double> tx_s;           ///< committed per second, per interval
+  std::vector<double> cpu_us_per_tx;  ///< process CPU minus the generator's, per commit
+  double rss_mb{0};                   ///< peak RSS once `rss_at` requests were sent
+};
+
+/// Run the closed loop from one generator thread until `seconds` pass or
+/// `max_requests` were sent (but not before `min_intervals` intervals),
+/// sampling every `interval_s`. Request keys come from `rng` alone.
+Saturation run_saturated(Target& target, CommitLedger& ledger, const RtSpec& w, tbft::Rng& rng,
+                         double seconds, std::uint64_t max_requests, std::size_t min_intervals,
+                         double interval_s, std::uint32_t outstanding, std::uint64_t rss_at,
+                         std::uint32_t& next_seq) {
+  Saturation sat;
+  const std::uint32_t n = ledger.n();
+  std::thread gen([&] {
+    const std::int64_t t0 = steady_ns();
+    const std::int64_t end = t0 + static_cast<std::int64_t>(seconds * 1e9);
+    const auto interval_ns = static_cast<std::int64_t>(interval_s * 1e9);
+    const std::uint64_t f1_start = ledger.f1_count();
+    std::uint64_t sent = 0;
+    const auto more = [&] { return sent < max_requests || sat.tx_s.size() < min_intervals; };
+    std::int64_t next_sample = t0 + interval_ns;
+    std::int64_t at_prev = t0;
+    std::uint64_t f1_prev = f1_start;
+    std::int64_t cpu_prev = process_cpu_ns() - thread_cpu_ns();
+    for (std::int64_t now = t0; now < end && more(); now = steady_ns()) {
+      if (now >= next_sample) {
+        const std::uint64_t f1 = ledger.f1_count();
+        const std::int64_t cpu = process_cpu_ns() - thread_cpu_ns();
+        sat.tx_s.push_back(static_cast<double>(f1 - f1_prev) * 1e9 /
+                           static_cast<double>(now - at_prev));
+        if (f1 > f1_prev) {
+          sat.cpu_us_per_tx.push_back(static_cast<double>(cpu - cpu_prev) / 1e3 /
+                                      static_cast<double>(f1 - f1_prev));
+        }
+        at_prev = now;
+        f1_prev = f1;
+        cpu_prev = cpu;
+        next_sample += interval_ns;
+      }
+      const std::uint64_t open = sent - (ledger.f1_count() - f1_start);
+      if (open >= outstanding) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        continue;
+      }
+      for (std::uint64_t k = open; k < outstanding && more(); ++k) {
+        const std::uint32_t client =
+            w.key_clients <= 1 ? 1u
+                               : static_cast<std::uint32_t>(rng.uniform(0, w.key_clients - 1));
+        const std::uint32_t seq = next_seq++;
+        ledger.add(tbft::workload::request_tag(client, seq), steady_ns(), w.request_bytes);
+        target.submit(static_cast<NodeId>(sent % n),
+                      tbft::workload::encode_request(client, seq, w.request_bytes));
+        if (++sent == rss_at) sat.rss_mb = peak_rss_mb();
+      }
+    }
+  });
+  gen.join();
+  return sat;
+}
+
 void sleep_ms(int ms) { std::this_thread::sleep_for(std::chrono::milliseconds(ms)); }
 
 /// Wait until every request of `ph` reached f+1, or commits stop arriving
@@ -446,35 +498,46 @@ void settle(const CommitLedger& ledger, double cap_s) {
   }
 }
 
-/// Seconds from build to the first f+1 commit of one warm-up request,
-/// median of `rounds` fresh clusters.
-double setup_seconds(const RtSpec& w, const Options& opt, int rounds, RunResult& r) {
-  std::vector<double> samples;
-  for (int k = 0; k < rounds; ++k) {
-    const fs::path data = opt.work_dir / ("setup-" + std::to_string(k));
-    fs::remove_all(data);
-    CommitLedger ledger(4, 1, w.shards);
-    const std::uint64_t tag = tbft::workload::request_tag(0xFFFF0000u, static_cast<std::uint32_t>(k));
-    ledger.add(tag, 0, w.request_bytes);
-    const std::int64_t t0 = steady_ns();
+/// One set-up round: seconds from build to the first f+1 commit of one
+/// warm-up request on a fresh cluster, or -1 when it never commits or its
+/// verdict fails (reasons on stderr).
+double setup_round(const RtSpec& w, const Options& opt, int k) {
+  RunResult r;
+  const fs::path data = opt.work_dir / ("setup-" + std::to_string(k));
+  fs::remove_all(data);
+  CommitLedger ledger(4, 1, w.shards);
+  const std::uint64_t tag = tbft::workload::request_tag(0xFFFF0000u, static_cast<std::uint32_t>(k));
+  ledger.add(tag, 0, w.request_bytes);
+  // The commit wakes the waiting thread directly; polling would add its
+  // sleep granularity to a set-up of a few ms.
+  std::mutex mx;
+  std::condition_variable cv;
+  std::int64_t committed_at = 0;
+  ledger.set_f1_listener([&](std::uint64_t) {
+    const std::lock_guard<std::mutex> lk(mx);
+    committed_at = steady_ns();
+    cv.notify_one();
+  });
+  const std::int64_t t0 = steady_ns();
+  double seconds = -1;
+  {
+    auto target = make_facade(w, opt.seed + static_cast<std::uint64_t>(k), data, ledger);
+    target->start();
+    target->submit(0, tbft::workload::encode_request(0xFFFF0000u, static_cast<std::uint32_t>(k),
+                                                     w.request_bytes));
     {
-      auto target = make_facade(w, opt.seed + static_cast<std::uint64_t>(k), data, ledger);
-      target->start();
-      target->submit(0, tbft::workload::encode_request(0xFFFF0000u, static_cast<std::uint32_t>(k),
-                                                       w.request_bytes));
-      const std::int64_t deadline = t0 + 10'000'000'000;
-      while (ledger.totals().f1 < 1 && steady_ns() < deadline) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-      samples.push_back(static_cast<double>(steady_ns() - t0) / 1e9);
-      if (ledger.totals().f1 < 1) r.violate("setup: the warm-up request never committed");
-      settle(ledger, 2);
-      target->stop();
-      verdict(*target, ledger, "setup", r);
+      std::unique_lock<std::mutex> lk(mx);
+      cv.wait_for(lk, std::chrono::seconds(10), [&] { return committed_at != 0; });
+      seconds = static_cast<double>((committed_at != 0 ? committed_at : steady_ns()) - t0) / 1e9;
     }
-    fs::remove_all(data);
+    if (ledger.totals().f1 < 1) r.violate("setup: the warm-up request never committed");
+    settle(ledger, 2);
+    target->stop();
+    verdict(*target, ledger, "setup", r);
   }
-  return median(samples);
+  fs::remove_all(data);
+  for (const auto& v : r.violations) std::fprintf(stderr, "VIOLATION: %s\n", v.c_str());
+  return r.violations.empty() ? seconds : -1;
 }
 
 /// The workload's sim twin: its node_config() and shard count under the
@@ -580,33 +643,96 @@ Reference reference_windows(Target& target, CommitLedger& ledger, const RtSpec& 
 }
 
 
+/// The untraced run's saturated rounds. Each round builds a fresh cluster,
+/// warms it up, then keeps kOutstanding requests in flight -- enough that
+/// every replica's batches close full (the count cap on loopback-tcp, the
+/// byte budget on each of sharded-wal's shards) -- for at most kRoundRequests
+/// requests. At least kSatRounds rounds run, more while half of --seconds
+/// lasts. Replicas keep thousands of finalized blocks per chain in memory,
+/// so the cap bounds the process's memory; fresh clusters make the rounds
+/// independent samples.
+constexpr int kSatRounds = 3;
+constexpr int kMaxSatRounds = 12;
+constexpr std::uint32_t kOutstanding = 2000;
+constexpr std::uint64_t kRoundRequests = 100000;
+/// Peak memory is read once the first round sent this many requests: a
+/// fixed amount of work, whatever the machine's speed.
+constexpr std::uint64_t kRssRequests = 50000;
+/// Sampling interval, and the intervals at the start of a round (the loop
+/// filling up) that are left out.
+constexpr double kInterval = 0.1;
+constexpr std::size_t kRampIntervals = 3;
+/// Intervals a round measures at least, past its ramp.
+constexpr std::size_t kMinIntervals = 5;
+
 RunResult run_untraced(const RtSpec& w, const Options& opt) {
   RunResult r;
   const std::int64_t t_begin = steady_ns();
   const auto elapsed = [&] { return static_cast<double>(steady_ns() - t_begin) / 1e9; };
-  const double setup = setup_seconds(w, opt, 15, r);
+  // Set-up rounds in three groups: before the saturated rounds, after them,
+  // and after the sim twin.
+  SetupSamples setups(opt);
+  const auto setup_group = [&] { setups.take(21); };
+  setup_group();
   tbft::Rng rng(tbft::mix64(opt.seed ^ 0x5eedULL));
-  const fs::path data = opt.work_dir / "main";
-  fs::remove_all(data);
-  CommitLedger ledger(4, 1, w.shards);
-  auto target = make_facade(w, opt.seed, data, ledger);
-  target->start();
-  std::uint32_t seq = 0;
+  std::vector<double> cpu;
+  std::vector<double> tput;
+  double rss_mb = 0;
+  for (int round = 0;
+       round < kMaxSatRounds && (round < kSatRounds || elapsed() < 0.5 * opt.seconds); ++round) {
+    std::fprintf(stderr, "[%.1f s] saturated round %d\n", elapsed(), round);
+    const fs::path data = opt.work_dir / ("main-" + std::to_string(round));
+    fs::remove_all(data);
+    CommitLedger ledger(4, 1, w.shards);
+    auto target = make_facade(w, opt.seed + static_cast<std::uint64_t>(round), data, ledger);
+    target->start();
+    std::uint32_t seq = 0;
+    const Phase warm = run_phase(*target, ledger, w, rng, w.ref_rate, 0.5, seq, false);
+    drain(ledger, warm, 500, 3);
+    const Saturation sat =
+        run_saturated(*target, ledger, w, rng, 0.1 * opt.seconds, kRoundRequests,
+                      kRampIntervals + kMinIntervals, kInterval, kOutstanding,
+                      round == 0 ? kRssRequests : 0, seq);
+    Phase all;
+    all.last = static_cast<std::uint32_t>(ledger.totals().requests);
+    if (!drain(ledger, all, 1000, 10)) r.violate("saturated round: requests never committed");
+    settle(ledger, 5);
+    target->stop();
+    verdict(*target, ledger, "saturated round", r);
+    target.reset();
+    fs::remove_all(data);
+    if (round == 0) rss_mb = sat.rss_mb > 0 ? sat.rss_mb : peak_rss_mb();
+    if (sat.cpu_us_per_tx.size() <= kRampIntervals) {
+      r.violate("saturated round: too few intervals");
+      continue;
+    }
+    cpu.insert(cpu.end(), sat.cpu_us_per_tx.begin() + kRampIntervals, sat.cpu_us_per_tx.end());
+    tput.insert(tput.end(), sat.tx_s.begin() + kRampIntervals, sat.tx_s.end());
+    const auto totals = ledger.totals();
+    r.attempted += totals.requests;
+    r.failed += totals.requests - totals.f1;
+  }
+  std::fprintf(stderr, "saturated: %zu intervals, %.0f tx/s, %.2f us CPU/tx (medians)\n",
+               cpu.size(), median(tput), median(cpu));
+  setup_group();
 
-  const Phase warm = run_phase(*target, ledger, w, rng, w.ref_rate,
-                               std::max(0.5, 0.05 * opt.seconds), seq, false);
-  drain(ledger, warm, 500, 3);
-  std::fprintf(stderr, "[%.1f s] reference windows\n", elapsed());
-  const Reference ref =
-      reference_windows(*target, ledger, w, rng, seq, 0.4 * opt.seconds, false,
-                        "reference window", r);
-  std::fprintf(stderr, "[%.1f s] capacity search\n", elapsed());
-  r.attempted = ref.offered;
-  r.failed = ref.offered - ref.committed;
-  // Peak memory after a fixed amount of work: the capacity search below
-  // offers a seed-dependent number of requests.
-  const double rss_mb = peak_rss_mb();
+  std::fprintf(stderr, "[%.1f s] sim twin\n", elapsed());
+  const SimScenario twin = twin_for(w, opt.seed);
+  const SimOutcome twin_outcome = run_sim(twin, opt.work_dir / "twin");
+  setup_group();
 
+  r.add("setup_s", setups.median(r), "s");
+  r.add("cpu_us_per_tx", median(cpu), "us");
+  r.add("rss_peak_mb", rss_mb, "MiB");
+  add_churn_metrics({&twin}, {&twin_outcome}, r);
+  std::fprintf(stderr, "[%.1f s] done\n", elapsed());
+  return r;
+}
+
+/// The capacity search on a running cluster: open-loop trials at rising,
+/// then bisected rates.
+double search_capacity(Target& target, CommitLedger& ledger, const RtSpec& w, tbft::Rng& rng,
+                       std::uint32_t& seq, const Options& opt) {
   CapacitySearch cs;
   cs.start = w.cap_start;
   cs.floor = w.ref_rate;
@@ -616,7 +742,7 @@ RunResult run_untraced(const RtSpec& w, const Options& opt) {
   TrialLimits limits;
   limits.p99_ms = kP99LimitMs;
   const auto attempt = [&](double rate) {
-    const Phase ph = run_phase(*target, ledger, w, rng, rate, trial_s, seq, false);
+    const Phase ph = run_phase(target, ledger, w, rng, rate, trial_s, seq, false);
     drain(ledger, ph, 300, 3);
     const TrialVerdict v =
         judge_trial(ledger.times(ph.first, ph.last), ph.start_ns, ph.end_ns, limits);
@@ -626,32 +752,13 @@ RunResult run_untraced(const RtSpec& w, const Options& opt) {
   };
   // A rate fails only when two attempts in a row fail: one scheduling stall
   // on a shared machine must not decide capacity.
-  const CapacityResult cap =
-      find_capacity(cs, [&](double rate) { return attempt(rate) || attempt(rate); });
-  settle(ledger, 5);
-  target->stop();
-  verdict(*target, ledger, "main run", r);
-  target.reset();
-  fs::remove_all(data);
-  if (cap.capacity <= 0) r.violate("capacity search: no rate passed");
-
-  r.add("setup_s", setup, "s");
-  r.add("commit_p50_ms", median(ref.p50_ms), "ms");
-  r.add("capacity_tx_s", cap.capacity, "tx/s");
-  r.add("cpu_us_per_tx", median(ref.cpu_us_per_tx), "us");
-  r.add("rss_peak_mb", rss_mb, "MiB");
-  std::fprintf(stderr, "[%.1f s] sim twin\n", elapsed());
-  const SimScenario twin = twin_for(w, opt.seed);
-  add_churn_metrics(twin, run_sim(twin, opt.work_dir / "twin"), r);
-  std::fprintf(stderr, "[%.1f s] done\n", elapsed());
-  return r;
+  return find_capacity(cs, [&](double rate) { return attempt(rate) || attempt(rate); }).capacity;
 }
 
 /// Warm-up plus the reference windows of a traced-or-untraced comparison.
 Reference reference(Target& target, CommitLedger& ledger, const RtSpec& w, const Options& opt,
-                    bool time_calls, const char* what, RunResult& r) {
-  tbft::Rng rng(tbft::mix64(opt.seed ^ 0x5eedULL));
-  std::uint32_t seq = 0;
+                    tbft::Rng& rng, std::uint32_t& seq, bool time_calls, const char* what,
+                    RunResult& r) {
   const Phase warm = run_phase(target, ledger, w, rng, w.ref_rate,
                                std::max(0.5, 0.05 * opt.seconds), seq, false);
   drain(ledger, warm, 500, 3);
@@ -670,7 +777,13 @@ RunResult run_traced(const RtSpec& w, const Options& opt) {
     CommitLedger ledger(4, 1, w.shards);
     auto target = make_facade(w, opt.seed, data, ledger);
     target->start();
-    const Reference c = reference(*target, ledger, w, opt, false, "untraced window", r);
+    tbft::Rng rng(tbft::mix64(opt.seed ^ 0x5eedULL));
+    std::uint32_t seq = 0;
+    const Reference c = reference(*target, ledger, w, opt, rng, seq, false, "untraced window", r);
+    std::fprintf(stderr, "capacity search\n");
+    t.capacity_tx_s = search_capacity(*target, ledger, w, rng, seq, opt);
+    if (t.capacity_tx_s <= 0) r.violate("capacity search: no rate passed");
+    settle(ledger, 5);
     target->stop();
     verdict(*target, ledger, "untraced run", r);
     target.reset();
@@ -686,7 +799,9 @@ RunResult run_traced(const RtSpec& w, const Options& opt) {
   auto target = std::make_unique<TracedTarget>(w, b, opt.seed, data, ledger);
   const std::uint64_t written0 = bytes_written();
   target->start();
-  const Reference c = reference(*target, ledger, w, opt, true, "traced window", r);
+  tbft::Rng rng(tbft::mix64(opt.seed ^ 0x5eedULL));
+  std::uint32_t seq = 0;
+  const Reference c = reference(*target, ledger, w, opt, rng, seq, true, "traced window", r);
   target->stop();
   verdict(*target, ledger, "traced run", r);
   const auto window = ledger.times(c.first, c.last);
@@ -727,6 +842,10 @@ RunResult run_traced(const RtSpec& w, const Options& opt) {
 }
 
 }  // namespace
+
+double realtime_setup_round(const Options& opt) {
+  return setup_round(spec_for(opt.workload), opt, opt.setup_round);
+}
 
 RunResult run_realtime(const Options& opt) {
   const RtSpec w = spec_for(opt.workload);

@@ -425,16 +425,32 @@ SimScenario churn_scenario(const tbft::multishot::MultishotConfig& cfg, std::uin
   return s;
 }
 
-void add_churn_metrics(const SimScenario& s, const SimOutcome& o, RunResult& r) {
-  check_sim(o, "sim churn", r);
-  if (!o.caught_up) r.violate("sim churn: a restarted replica never caught up");
-  for (std::size_t e = 0; e < o.outage_ms.size(); ++e) {
-    std::fprintf(stderr, "  churn episode %zu (replica %u): outage %.3f ms, catch-up %.3f ms\n", e,
-                 s.churn[e].victim, o.outage_ms[e], o.catchup_ms[e]);
+void add_churn_metrics(const std::vector<const SimScenario*>& scenarios,
+                       const std::vector<const SimOutcome*>& outcomes, RunResult& r) {
+  double good_ms = 0;
+  std::size_t good = 0;
+  std::vector<double> outage;
+  std::vector<double> catchup;
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    const SimScenario& s = *scenarios[k];
+    const SimOutcome& o = *outcomes[k];
+    check_sim(o, "sim churn", r);
+    if (!o.caught_up) r.violate("sim churn: a restarted replica never caught up");
+    for (std::size_t e = 0; e < o.outage_ms.size(); ++e) {
+      std::fprintf(stderr,
+                   "  churn run %zu episode %zu (replica %u): outage %.3f ms, catch-up %.3f ms\n",
+                   k, e, s.churn[e].victim, o.outage_ms[e], o.catchup_ms[e]);
+    }
+    // Good-case latency in units of the scenario's own delta.
+    good_ms += o.good_mean_ms * 1e3 / static_cast<double>(s.delta) *
+               static_cast<double>(o.good_count);
+    good += o.good_count;
+    outage.insert(outage.end(), o.outage_ms.begin(), o.outage_ms.end());
+    catchup.insert(catchup.end(), o.catchup_ms.begin(), o.catchup_ms.end());
   }
-  r.add("commit_delays", o.good_mean_ms * 1e3 / static_cast<double>(s.delta), "delta");
-  r.add("outage_ms", iq_mean(o.outage_ms), "ms");
-  r.add("catchup_ms", iq_mean(o.catchup_ms), "ms");
+  r.add("commit_delays", good == 0 ? 0 : good_ms / static_cast<double>(good), "delta");
+  r.add("outage_ms", iq_mean(outage), "ms");
+  r.add("catchup_ms", iq_mean(catchup), "ms");
 }
 
 }  // namespace perfbench

@@ -93,11 +93,13 @@ std::vector<SimScenario::Churn> churn_schedule(tbft::runtime::Time from,
 SimScenario churn_scenario(const tbft::multishot::MultishotConfig& cfg, std::uint32_t shards,
                            std::uint32_t request_bytes, std::uint64_t seed);
 
-/// Virtual-time metrics of a churn run: commit_delays, and the interquartile
-/// means over episodes of outage_ms and catchup_ms (single episodes fall in
-/// a few clusters: one view-change timeout or several, zero or one
-/// range-sync retry); violations when the run is not correct.
-void add_churn_metrics(const SimScenario& s, const SimOutcome& o, RunResult& r);
+/// Virtual-time metrics of churn runs, pooled over them: commit_delays (the
+/// good-case mean), and the interquartile means over all episodes of
+/// outage_ms and catchup_ms (single episodes fall in a few clusters: one
+/// view-change timeout or several, zero or one range-sync retry);
+/// violations when a run is not correct.
+void add_churn_metrics(const std::vector<const SimScenario*>& scenarios,
+                       const std::vector<const SimOutcome*>& outcomes, RunResult& r);
 /// Correctness verdict of a sim run (exactly-once, foreign bytes, prefix
 /// consistency, drain).
 void check_sim(const SimOutcome& o, const char* what, RunResult& r);

@@ -51,13 +51,14 @@ struct Span {
   SpanName name{SpanName::kMessage};
 };
 
-/// One thread's span buffer (bounded: spans past `cap` are counted, not kept).
+/// One thread's span buffer (bounded: spans past kCap are counted, not kept).
 class SpanLog {
  public:
-  explicit SpanLog(std::size_t cap = 1u << 20) : cap_(cap) {}
+  static constexpr std::size_t kCap = 1u << 20;
+
   std::uint32_t open(SpanName name, std::int32_t node, std::int64_t start_ns,
                      std::uint32_t parent = kNoParent, std::uint64_t request = 0) {
-    if (spans_.size() >= cap_) {
+    if (spans_.size() >= kCap) {
       ++dropped_;
       return kNoParent;
     }
@@ -71,7 +72,6 @@ class SpanLog {
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:
-  std::size_t cap_;
   std::vector<Span> spans_;
   std::uint64_t dropped_{0};
 };

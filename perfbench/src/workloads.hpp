@@ -9,9 +9,14 @@
 
 namespace perfbench {
 
-/// loopback-tcp, sharded-wal, pipelined-local.
+/// loopback-tcp, sharded-wal.
 RunResult run_realtime(const Options& opt);
 /// sim-churn.
 RunResult run_sim_churn(const Options& opt);
+
+/// Set-up round opt.setup_round of a workload (see SetupSamples): seconds
+/// from build to the first f+1 commit, or -1 when the round failed.
+double realtime_setup_round(const Options& opt);
+double sim_churn_setup_round(const Options& opt);
 
 }  // namespace perfbench
