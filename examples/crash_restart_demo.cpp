@@ -52,7 +52,7 @@ ClusterBuilder demo_builder(const std::string& dir) {
   auto cluster = demo_builder(dir).build_local();
   cluster->start();
   for (std::uint32_t j = 0;; ++j) {
-    cluster->node(j % 4).submit(tx_bytes(j));
+    cluster->submit(j % 4, tx_bytes(j));
     usleep(2000);  // ~500 tx/sec across the cluster
   }
 }
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
   });
   cluster->start();
   for (std::uint32_t j = 0; j < fresh.size(); ++j) {
-    cluster->node(j % 4).submit(fresh[j]);
+    cluster->submit(j % 4, fresh[j]);
   }
   const std::uint32_t all = (1u << fresh.size()) - 1;
   const bool resumed = cluster->wait_for(

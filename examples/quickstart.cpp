@@ -43,7 +43,7 @@ int main() {
 
   std::printf("submitting %u transactions to a 4-node real-time cluster...\n", kTxs);
   for (std::uint32_t j = 0; j < kTxs; ++j) {
-    cluster->node(j % 4).submit({'t', 'x', static_cast<std::uint8_t>(j)});
+    cluster->submit(j % 4, {'t', 'x', static_cast<std::uint8_t>(j)});
   }
   cluster->start();
   const bool done =

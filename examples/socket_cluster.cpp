@@ -1,47 +1,63 @@
 // Multi-process socket cluster demo: fork 4 OS processes, each hosting one
-// TetraBFT replica behind a runtime::SocketHost; every protocol message
-// crosses a real TCP connection on loopback. The parent plays deployment
+// sharded TetraBFT replica (S = 4 chain instances behind one
+// runtime::SocketHost); every protocol message crosses a real TCP connection
+// on loopback, tagged with its shard route. The parent plays deployment
 // coordinator -- it collects each child's ephemeral listen port over a pipe,
 // broadcasts the full port map, and the children wire up and run consensus
 // under client load.
 //
 //   ./build/socket_cluster
 //
-// Each child submits its own transactions, then waits until its OWN commit
-// stream contains every transaction from every process exactly once. An exit
-// barrier (over the pipes) keeps all replicas alive until the slowest one is
-// done; only then do the children stop, digest their finalized chains
-// slot-by-slot, and report. The parent exits 0 iff all four processes
-// finished, committed nonzero slots, and produced IDENTICAL chain digests --
-// the multi-process analogue of multishot::chains_prefix_consistent.
-// (CI runs this binary as the socket-transport smoke test.)
+// Each child submits its own keyed requests (workload::encode_request; the
+// key picks the home shard), then waits until its OWN commit stream contains
+// every request from every process exactly once. An exit barrier (over the
+// pipes) keeps all replicas alive until the slowest one is done; only then
+// do the children stop, digest each shard's finalized chain slot-by-slot,
+// and report. The parent exits 0 iff all four processes finished, committed
+// every shard's slots, and produced IDENTICAL per-shard chain digests -- the
+// multi-process analogue of multishot::chains_prefix_consistent. (CI runs
+// this binary as the socket-transport smoke test.)
 
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <vector>
 
 #include "common/hash.hpp"
 #include "tetrabft.hpp"
+#include "workload/request.hpp"
 
 using namespace tbft;
 
 namespace {
 
 constexpr std::uint32_t kNodes = 4;
+constexpr std::uint32_t kShards = 4;
 constexpr std::uint32_t kTxPerNode = 16;
 constexpr std::uint32_t kTotalTx = kNodes * kTxPerNode;
+constexpr std::uint32_t kSlotsPerShard = kTotalTx / kShards;
 
-/// Transaction `j` as submitted by process `origin`: self-describing bytes
-/// so any commit stream can attribute it.
-std::vector<std::uint8_t> tx_bytes(std::uint32_t origin, std::uint32_t j) {
-  return {'s', 'k', static_cast<std::uint8_t>(origin), static_cast<std::uint8_t>(j >> 8),
-          static_cast<std::uint8_t>(j), static_cast<std::uint8_t>(origin * 31 + j * 7)};
+/// The request seqs process `origin` submits (as client `origin`): the same
+/// number per shard, so each shard's slot leaders -- every process in turn
+/// -- always hold a request of that shard and no leader idles.
+std::vector<std::uint32_t> request_seqs(NodeId origin) {
+  const shard::ShardRouter router(kShards);
+  std::vector<std::uint32_t> seqs;
+  std::uint32_t per_shard[kShards] = {};
+  for (std::uint32_t seq = 0; seqs.size() < kTxPerNode; ++seq) {
+    std::uint32_t& count = per_shard[router.shard_of(workload::request_tag(origin, seq))];
+    if (count == kTxPerNode / kShards) continue;
+    ++count;
+    seqs.push_back(seq);
+  }
+  return seqs;
 }
 
 bool read_full(int fd, void* buf, std::size_t len) {
@@ -68,8 +84,8 @@ bool write_full(int fd, const void* buf, std::size_t len) {
 
 /// What each child reports after the exit barrier.
 struct ChildReport {
-  std::uint64_t chain_digest{0};  // order-sensitive digest of slots 1..kTotalTx
-  std::uint64_t finalized{0};
+  std::uint64_t chain_digest[kShards]{};  // per shard: digest of slots 1..kSlotsPerShard
+  std::uint64_t finalized{0};             // fewest finalized slots of any shard
   std::uint8_t ok{0};
 };
 
@@ -78,6 +94,7 @@ struct ChildReport {
 int run_child(NodeId id, int to_parent, int from_parent) {
   ClusterBuilder b;
   b.nodes(kNodes)
+      .shards(kShards)
       .seed(7)
       .delta_bound(500 * runtime::kMillisecond)  // generous: loaded CI machines
       .batching(/*max_txs=*/1, /*max_bytes=*/4096)  // one tx per slot
@@ -95,29 +112,36 @@ int run_child(NodeId id, int to_parent, int from_parent) {
 
   // --- commit accounting: every tx, exactly once, in MY stream --------------
   std::mutex mx;
-  std::vector<std::uint32_t> times_seen(kTotalTx, 0);  // guarded by mx / hub lock
+  std::map<std::uint64_t, std::uint32_t> times_seen;  // every request's tag; guarded by mx
+  for (NodeId origin = 0; origin < kNodes; ++origin) {
+    for (const std::uint32_t seq : request_seqs(origin)) {
+      times_seen[workload::request_tag(origin, seq)] = 0;
+    }
+  }
   std::uint64_t commits = 0;
+  std::uint64_t foreign = 0;
   node->on_commit([&](const runtime::Commit& c) {
     std::lock_guard<std::mutex> lk(mx);
     ++commits;
-    for (const auto& frame : multishot::payload_frames(c.payload)) {
-      if (frame.size() < 5 || frame[0] != 's' || frame[1] != 'k') continue;
-      const std::uint32_t origin = frame[2];
-      const std::uint32_t j =
-          (static_cast<std::uint32_t>(frame[3]) << 8) | frame[4];
-      if (origin < kNodes && j < kTxPerNode) ++times_seen[origin * kTxPerNode + j];
+    for (const std::uint64_t tag : workload::extract_request_tags(c.payload)) {
+      const auto it = times_seen.find(tag);
+      if (it == times_seen.end()) {
+        ++foreign;
+      } else {
+        ++it->second;
+      }
     }
   });
 
   node->start();
-  for (std::uint32_t j = 0; j < kTxPerNode; ++j) {
-    node->submit(tx_bytes(id, j));
+  for (const std::uint32_t seq : request_seqs(id)) {
+    node->submit(workload::encode_request(id, seq, /*total_bytes=*/24));
   }
 
   const bool synced = node->wait_for(
       [&] {
         std::lock_guard<std::mutex> lk(mx);
-        for (const std::uint32_t seen : times_seen) {
+        for (const auto& [tag, seen] : times_seen) {
           if (seen == 0) return false;
         }
         return true;
@@ -133,21 +157,21 @@ int run_child(NodeId id, int to_parent, int from_parent) {
 
   // --- report: exactly-once + an order-sensitive digest of the chain --------
   ChildReport report;
-  bool exactly_once = synced;
-  for (const std::uint32_t seen : times_seen) exactly_once = exactly_once && seen == 1;
-  multishot::MultishotNode& replica = node->replica();
-  report.finalized = replica.finalized_count();
-  std::uint64_t digest = 0x736f636b65743464ULL;  // arbitrary nonzero start
+  bool exactly_once = synced && foreign == 0;
+  for (const auto& [tag, seen] : times_seen) exactly_once = exactly_once && seen == 1;
   bool chain_complete = true;
-  for (Slot s = 1; s <= kTotalTx; ++s) {
-    const multishot::Block* blk = replica.block_at(s);
-    if (blk == nullptr) {
-      chain_complete = false;
-      break;
+  report.finalized = UINT64_MAX;
+  for (std::uint32_t k = 0; k < kShards; ++k) {
+    const multishot::MultishotNode& chain = node->instance(k);
+    report.finalized = std::min<std::uint64_t>(report.finalized, chain.finalized_count());
+    std::uint64_t digest = 0x736f636b65743464ULL;  // arbitrary nonzero start
+    for (Slot s = 1; s <= kSlotsPerShard && chain_complete; ++s) {
+      const multishot::Block* blk = chain.block_at(s);
+      chain_complete = blk != nullptr;
+      if (chain_complete) digest = hash_combine(digest, blk->hash());
     }
-    digest = hash_combine(digest, blk->hash());
+    report.chain_digest[k] = digest;
   }
-  report.chain_digest = digest;
   report.ok = (exactly_once && chain_complete) ? 1 : 0;
   const runtime::NetStats& ns = node->host().net_stats();
   std::printf(
@@ -252,17 +276,20 @@ int main() {
         std::fprintf(stderr, "child %u exited %d\n", i, WEXITSTATUS(status));
       }
     }
-    ok = ok && child_ok && reports[i].ok == 1 && reports[i].finalized >= kTotalTx;
+    ok = ok && child_ok && reports[i].ok == 1 && reports[i].finalized >= kSlotsPerShard;
   }
   bool digests_agree = true;
   for (std::uint32_t i = 1; i < kNodes; ++i) {
-    digests_agree = digests_agree && reports[i].chain_digest == reports[0].chain_digest;
+    for (std::uint32_t k = 0; k < kShards; ++k) {
+      digests_agree = digests_agree && reports[i].chain_digest[k] == reports[0].chain_digest[k];
+    }
   }
   ok = ok && digests_agree;
   std::printf(
-      "%u processes, %u transactions: chain digests %s (%#llx), all >= %u slots: %s\n",
-      kNodes, kTotalTx, digests_agree ? "AGREE" : "DIVERGE",
-      static_cast<unsigned long long>(reports[0].chain_digest), kTotalTx,
+      "%u processes, %u shards, %u transactions: chain digests %s (shard 0 %#llx), "
+      "every shard >= %u slots: %s\n",
+      kNodes, kShards, kTotalTx, digests_agree ? "AGREE" : "DIVERGE",
+      static_cast<unsigned long long>(reports[0].chain_digest[0]), kSlotsPerShard,
       ok ? "yes" : "NO");
   std::printf("multi-process socket cluster: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;

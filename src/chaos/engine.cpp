@@ -40,23 +40,13 @@ std::string ChaosVerdict::failure() const {
 
 namespace {
 
-/// Submission port that tracks the replica across crash/restart: submissions
-/// while the node is down are rejected (backpressure), exactly like a dead
-/// TCP endpoint, and resume against the recovered instance.
+/// Submission port that tracks the replica across crash/restart and routes
+/// each request to its home shard on the live mux (untagged bytes park on
+/// shard 0). Submissions while the node is down are rejected
+/// (backpressure), exactly like a dead TCP endpoint, and resume against the
+/// recovered mux.
 struct LivePort final : workload::SubmitPort {
-  explicit LivePort(multishot::MultishotNode** slot) : slot_(slot) {}
-  bool submit(std::vector<std::uint8_t> tx) override {
-    return *slot_ != nullptr && (*slot_)->submit_tx(std::move(tx));
-  }
-  multishot::MultishotNode** slot_;
-};
-
-/// The sharded counterpart: routes each request to its home shard on the
-/// live mux (untagged bytes park on shard 0), with the same down-replica
-/// backpressure.
-struct ShardedLivePort final : workload::SubmitPort {
-  ShardedLivePort(shard::ShardMux** slot, std::uint32_t shards)
-      : slot_(slot), router_(shards) {}
+  LivePort(shard::ShardMux** slot, std::uint32_t shards) : slot_(slot), router_(shards) {}
   bool submit(std::vector<std::uint8_t> tx) override {
     if (*slot_ == nullptr) return false;
     const auto tag = workload::parse_request_tag(tx);
@@ -137,12 +127,11 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
 
   ChaosVerdict v;
 
-  // Replica pointers live here (stable storage: LivePorts alias the slots);
-  // nullptr marks Byzantine roles and crashed replicas. Sharded plans track
-  // the mux instead (its per-shard instances hang off it); exactly one of
-  // the two vectors is populated per honest replica.
+  // Every honest replica is a ShardMux of S chains (S = 1 is a pass-through,
+  // byte-identical to a bare chain). Mux pointers live here (stable storage:
+  // LivePorts alias the slots); nullptr marks Byzantine roles and crashed
+  // replicas.
   const std::uint32_t S = plan.shards;
-  std::vector<multishot::MultishotNode*> replicas(plan.n, nullptr);
   std::vector<shard::ShardMux*> muxes(plan.n, nullptr);
   std::vector<std::vector<std::unique_ptr<storage::DurableChain>>> durables(plan.n);
   // The sharded tracker degenerates to one flat WorkloadTracker at S = 1:
@@ -158,19 +147,10 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   };
 
   // Build -- or rebuild, recovering whatever durable state the directories
-  // hold -- replica i's honest protocol node: one plain chain at S = 1
-  // (the historical path, byte-identical traces), a ShardMux of S recovered
-  // chains otherwise.
+  // hold -- replica i's honest protocol node: a ShardMux of S recovered
+  // chains.
   const auto make_honest = [&](NodeId i) -> std::unique_ptr<runtime::ProtocolNode> {
     durables[i].clear();
-    if (S == 1) {
-      durables[i].push_back(
-          std::make_unique<storage::DurableChain>(shard_dir(i, 0), durable_options()));
-      auto node = make_recovered(node_cfg, *durables[i].front());
-      tracker.observe(0, *node);
-      replicas[i] = node.get();
-      return node;
-    }
     std::vector<std::unique_ptr<multishot::MultishotNode>> instances;
     for (std::uint32_t k = 0; k < S; ++k) {
       durables[i].push_back(
@@ -224,11 +204,7 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   std::vector<workload::SubmitPort*> honest;
   for (NodeId i = 0; i < plan.n; ++i) {
     if (plan.roles[i] == ByzRole::kHonest) {
-      if (S == 1) {
-        ports.push_back(std::make_unique<LivePort>(&replicas[i]));
-      } else {
-        ports.push_back(std::make_unique<ShardedLivePort>(&muxes[i], S));
-      }
+      ports.push_back(std::make_unique<LivePort>(&muxes[i], S));
       honest.push_back(ports.back().get());
     }
   }
@@ -269,10 +245,8 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   // --- The churn schedule: crash at down_at, recover from disk at up_at. ---
   for (const ChurnEvent& ev : plan.churn) {
     simu->run_until(ev.down_at);
-    TBFT_ASSERT_MSG(replicas[ev.node] != nullptr || muxes[ev.node] != nullptr,
-                    "churn hit a non-live replica");
+    TBFT_ASSERT_MSG(muxes[ev.node] != nullptr, "churn hit a non-live replica");
     simu->crash_node(ev.node);
-    replicas[ev.node] = nullptr;
     muxes[ev.node] = nullptr;
     durables[ev.node].clear();  // close WAL/checkpoint files, like process death
     ++v.crashes;
@@ -304,79 +278,42 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
                  static_cast<unsigned long long>(mx.counter("multishot.blockreq.sent").value()),
                  static_cast<unsigned long long>(mx.counter("multishot.blockreq.served").value()),
                  static_cast<unsigned long long>(mx.counter("multishot.blockreq.adopted").value()));
-    if (S > 1) {
-      for (NodeId i = 0; i < plan.n; ++i) {
-        if (muxes[i] == nullptr) continue;
-        for (std::uint32_t k = 0; k < S; ++k) {
-          const auto& inst = muxes[i]->instance(k);
-          std::fprintf(stderr, "node %u shard %u: finalized=%llu pool=%zu\n", i, k,
-                       static_cast<unsigned long long>(inst.finalized_count()),
-                       inst.mempool().size());
-          const auto& ch = inst.chain();
-          const Slot first = inst.finalized_count() + 1;
-          for (Slot s = first; s < first + 4; ++s) {
-            const auto nz = ch.notarized(s);
-            if (!nz) {
-              std::fprintf(stderr, "  slot %llu: no notarization\n",
-                           static_cast<unsigned long long>(s));
-              continue;
-            }
-            const auto* blk = ch.find_block(s, nz->hash);
-            std::fprintf(stderr,
-                         "  slot %llu: notarized view=%llu hash=%016llx block=%s parent=%016llx"
-                         " want_parent=%016llx\n",
-                         static_cast<unsigned long long>(s),
-                         static_cast<unsigned long long>(nz->view),
-                         static_cast<unsigned long long>(nz->hash), blk ? "yes" : "MISSING",
-                         blk ? static_cast<unsigned long long>(blk->parent_hash) : 0ULL,
-                         static_cast<unsigned long long>(
-                             s == first ? ch.finalized_tip_hash()
-                                        : (ch.notarized(s - 1) ? ch.notarized(s - 1)->hash
-                                                               : 0)));
-          }
-          for (const auto& e : inst.mempool().entries()) {
-            std::fprintf(stderr,
-                         "  tx hash=%016llx size=%zu inflight=%d slot=%llu hold_until=%lld\n",
-                         static_cast<unsigned long long>(e.hash), e.tx.size(), e.inflight,
-                         static_cast<unsigned long long>(e.slot),
-                         static_cast<long long>(e.hold_until));
-          }
-        }
-      }
-    }
     for (NodeId i = 0; i < plan.n; ++i) {
-      const auto* node = replicas[i];
-      if (node == nullptr) continue;
-      std::fprintf(stderr, "node %u: finalized=%llu pool=%zu\n", i,
-                   static_cast<unsigned long long>(node->finalized_count()),
-                   node->mempool().size());
-      const auto& ch = node->chain();
-      const Slot first = node->finalized_count() + 1;
-      for (Slot s = first; s < first + 8; ++s) {
-        const auto n = ch.notarized(s);
-        if (!n) {
-          std::fprintf(stderr, "  slot %llu: no notarization\n",
-                       static_cast<unsigned long long>(s));
-          continue;
+      if (muxes[i] == nullptr) continue;
+      for (std::uint32_t k = 0; k < S; ++k) {
+        const auto& inst = muxes[i]->instance(k);
+        std::fprintf(stderr, "node %u shard %u: finalized=%llu pool=%zu\n", i, k,
+                     static_cast<unsigned long long>(inst.finalized_count()),
+                     inst.mempool().size());
+        const auto& ch = inst.chain();
+        const Slot first = inst.finalized_count() + 1;
+        for (Slot s = first; s < first + 4; ++s) {
+          const auto nz = ch.notarized(s);
+          if (!nz) {
+            std::fprintf(stderr, "  slot %llu: no notarization\n",
+                         static_cast<unsigned long long>(s));
+            continue;
+          }
+          const auto* blk = ch.find_block(s, nz->hash);
+          std::fprintf(stderr,
+                       "  slot %llu: notarized view=%llu hash=%016llx block=%s parent=%016llx"
+                       " want_parent=%016llx\n",
+                       static_cast<unsigned long long>(s),
+                       static_cast<unsigned long long>(nz->view),
+                       static_cast<unsigned long long>(nz->hash), blk ? "yes" : "MISSING",
+                       blk ? static_cast<unsigned long long>(blk->parent_hash) : 0ULL,
+                       static_cast<unsigned long long>(
+                           s == first ? ch.finalized_tip_hash()
+                                      : (ch.notarized(s - 1) ? ch.notarized(s - 1)->hash
+                                                             : 0)));
         }
-        const auto* b = ch.find_block(s, n->hash);
-        std::fprintf(stderr,
-                     "  slot %llu: notarized view=%llu hash=%016llx block=%s parent=%016llx"
-                     " want_parent=%016llx\n",
-                     static_cast<unsigned long long>(s),
-                     static_cast<unsigned long long>(n->view),
-                     static_cast<unsigned long long>(n->hash), b ? "yes" : "MISSING",
-                     b ? static_cast<unsigned long long>(b->parent_hash) : 0ULL,
-                     static_cast<unsigned long long>(
-                         s == first ? ch.finalized_tip_hash()
-                                    : (ch.notarized(s - 1) ? ch.notarized(s - 1)->hash : 0)));
-      }
-      for (const auto& e : node->mempool().entries()) {
-        std::fprintf(stderr,
-                     "  tx hash=%016llx size=%zu inflight=%d slot=%llu hold_until=%lld\n",
-                     static_cast<unsigned long long>(e.hash), e.tx.size(), e.inflight,
-                     static_cast<unsigned long long>(e.slot),
-                     static_cast<long long>(e.hold_until));
+        for (const auto& e : inst.mempool().entries()) {
+          std::fprintf(stderr,
+                       "  tx hash=%016llx size=%zu inflight=%d slot=%llu hold_until=%lld\n",
+                       static_cast<unsigned long long>(e.hash), e.tx.size(), e.inflight,
+                       static_cast<unsigned long long>(e.slot),
+                       static_cast<long long>(e.hold_until));
+        }
       }
     }
   }
@@ -384,25 +321,17 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   v.report = tracker.report(v.elapsed);
   v.drained = tracker.admitted() > 0 && tracker.all_admitted_committed();
   v.progressed = v.report.committed > 0;
-  if (S == 1) {
-    v.chains_consistent = multishot::chains_prefix_consistent(replicas);
-    for (const auto* node : replicas) {
-      if (node != nullptr) v.max_finalized = std::max(v.max_finalized, node->finalized_count());
+  // Safety is per shard: every shard's chains must agree across the live
+  // muxes (cross-shard commits are the tracker's to catch).
+  v.chains_consistent = tracker.misrouted_commits() == 0 && tracker.cross_shard_commits() == 0;
+  for (std::uint32_t k = 0; k < S; ++k) {
+    std::vector<multishot::MultishotNode*> shard_chains;
+    for (auto* mux : muxes) {
+      if (mux != nullptr) shard_chains.push_back(&mux->instance(k));
     }
-  } else {
-    // Safety is per shard: every shard's chains must agree across the live
-    // muxes (cross-shard commits are the tracker's to catch).
-    v.chains_consistent = tracker.misrouted_commits() == 0 && tracker.cross_shard_commits() == 0;
-    for (std::uint32_t k = 0; k < S; ++k) {
-      std::vector<multishot::MultishotNode*> shard_chains;
-      for (auto* mux : muxes) {
-        if (mux != nullptr) shard_chains.push_back(&mux->instance(k));
-      }
-      v.chains_consistent =
-          v.chains_consistent && multishot::chains_prefix_consistent(shard_chains);
-      for (const auto* chain : shard_chains) {
-        v.max_finalized = std::max(v.max_finalized, chain->finalized_count());
-      }
+    v.chains_consistent = v.chains_consistent && multishot::chains_prefix_consistent(shard_chains);
+    for (const auto* chain : shard_chains) {
+      v.max_finalized = std::max(v.max_finalized, chain->finalized_count());
     }
   }
   v.trace_digest = simu->trace().digest();

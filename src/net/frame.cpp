@@ -51,4 +51,17 @@ bool FrameDecoder::feed(std::span<const std::uint8_t> in, const Sink& sink) {
   return true;
 }
 
+bool take_route(std::vector<std::uint8_t>& body, std::uint32_t& route) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < body.size() && i < kMaxRouteBytes; ++i) {
+    v |= static_cast<std::uint64_t>(body[i] & 0x7F) << (7 * i);
+    if ((body[i] & 0x80) != 0) continue;
+    if (v > UINT32_MAX) return false;
+    route = static_cast<std::uint32_t>(v);
+    body.erase(body.begin(), body.begin() + static_cast<std::ptrdiff_t>(i + 1));
+    return true;
+  }
+  return false;
+}
+
 }  // namespace tbft::net

@@ -5,8 +5,11 @@
 //   [u32 LE payload length][u8 kind][payload bytes]
 //
 // where the payload of a kData frame is exactly one serde-encoded protocol
-// message (the same bytes a Payload carries in-process), and control kinds
-// (kHello / kPing / kPong) manage peer identity and liveness.
+// message (the same bytes a Payload carries in-process), a kRouted frame
+// prefixes those bytes with the Payload's shard route as a LEB128 varint
+// (route 0 is always sent as kData, so unsharded traffic is byte-identical
+// to a transport without routes), and control kinds (kHello / kPing /
+// kPong) manage peer identity and liveness.
 //
 // Threat model: these bytes come off the network, so this layer is the junk
 // flood's first target. Decoding is total and bounded:
@@ -42,12 +45,18 @@ enum class FrameKind : std::uint8_t {
   kData = 2,   ///< one serde-encoded protocol message
   kPing = 3,   ///< liveness probe (empty payload)
   kPong = 4,   ///< liveness reply (empty payload)
+  kRouted = 5, ///< varint shard route, then one serde-encoded protocol message
 };
 
 [[nodiscard]] constexpr bool known_kind(std::uint8_t k) noexcept {
   return k >= static_cast<std::uint8_t>(FrameKind::kHello) &&
-         k <= static_cast<std::uint8_t>(FrameKind::kPong);
+         k <= static_cast<std::uint8_t>(FrameKind::kRouted);
 }
+
+/// A u32 route takes at most 5 LEB128 bytes.
+inline constexpr std::size_t kMaxRouteBytes = 5;
+/// Largest data-frame header: frame header plus a kRouted route varint.
+inline constexpr std::size_t kMaxDataHeaderBytes = kFrameHeaderBytes + kMaxRouteBytes;
 
 /// Serialize a frame header into `out[kFrameHeaderBytes]`.
 inline void put_frame_header(std::uint8_t* out, FrameKind kind,
@@ -58,6 +67,29 @@ inline void put_frame_header(std::uint8_t* out, FrameKind kind,
   out[3] = static_cast<std::uint8_t>(payload_len >> 24);
   out[4] = static_cast<std::uint8_t>(kind);
 }
+
+/// Serialize the header of a data frame carrying a `payload_len`-byte
+/// message on shard `route` into `out[kMaxDataHeaderBytes]`; returns the
+/// header bytes written. Route 0 is elided (a plain kData header); any other
+/// route makes a kRouted header whose length also covers the route varint.
+inline std::size_t put_data_header(std::uint8_t* out, std::uint32_t route,
+                                   std::uint32_t payload_len) noexcept {
+  if (route == 0) {
+    put_frame_header(out, FrameKind::kData, payload_len);
+    return kFrameHeaderBytes;
+  }
+  std::size_t n = kFrameHeaderBytes;
+  for (; route >= 0x80; route >>= 7) out[n++] = static_cast<std::uint8_t>(route | 0x80);
+  out[n++] = static_cast<std::uint8_t>(route);
+  put_frame_header(out, FrameKind::kRouted,
+                   static_cast<std::uint32_t>(n - kFrameHeaderBytes) + payload_len);
+  return n;
+}
+
+/// Strip a kRouted frame body's leading route varint into `route`, leaving
+/// the message bytes. False -- junk no honest peer sends -- when the varint
+/// is truncated, longer than kMaxRouteBytes, or overflows a u32.
+[[nodiscard]] bool take_route(std::vector<std::uint8_t>& body, std::uint32_t& route);
 
 /// Handshake payload: who is on the other end of this connection and which
 /// cluster shape it believes in. Sent as the first frame in both directions.

@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "shard/tracker.hpp"
-
 namespace tbft {
 
 // ---- detail::CommitHub -----------------------------------------------------
@@ -24,63 +22,77 @@ bool detail::CommitHub::wait_for(const std::function<bool()>& pred,
   return cv.wait_for(lk, std::chrono::microseconds(timeout), [&] { return pred(); });
 }
 
-// ---- NodeHandle ------------------------------------------------------------
+// ---- detail::Replicas ------------------------------------------------------
 
-void NodeHandle::submit(std::vector<std::uint8_t> tx) {
-  multishot::MultishotNode* replica = cluster_->replicas_.at(id_);
-  cluster_->runner_.post(id_, [replica, tx = std::move(tx)]() mutable {
-    replica->submit_tx(std::move(tx));
-  });
+multishot::MultishotNode& detail::Replicas::instance(NodeId id, std::uint32_t shard) {
+  if (running_) {
+    throw std::logic_error(
+        "tbft: direct replica access while running races the replica thread; "
+        "stop() first or use submit()");
+  }
+  return muxes_.at(id)->instance(shard);
+}
+
+std::vector<multishot::MultishotNode*> detail::Replicas::shard_instances(std::uint32_t shard) {
+  std::vector<multishot::MultishotNode*> out;
+  out.reserve(muxes_.size());
+  for (NodeId i = 0; i < size(); ++i) out.push_back(&instance(i, shard));
+  return out;
+}
+
+std::uint32_t detail::Replicas::route(std::span<const std::uint8_t> tx) const {
+  if (shards() == 1) return 0;
+  const auto tag = workload::parse_request_tag(tx);
+  return tag ? router_.shard_of(*tag) : 0;
 }
 
 // ---- Cluster ---------------------------------------------------------------
 
-Cluster::Cluster(const multishot::MultishotConfig& node_cfg, std::uint64_t seed)
-    : runner_(runtime::LocalRunnerConfig{seed}) {
-  for (std::uint32_t i = 0; i < node_cfg.n; ++i) {
-    auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
-    replicas_.push_back(node.get());
-    runner_.add_node(std::move(node));
-  }
-  runner_.add_commit_sink(hub_);
-}
-
 Cluster::~Cluster() { stop(); }
 
-NodeHandle Cluster::node(NodeId id) {
-  if (id >= replicas_.size()) {
-    throw std::out_of_range("Cluster::node: no replica with id " + std::to_string(id));
-  }
-  return NodeHandle(*this, id);
-}
-
 void Cluster::on_commit(CommitCallback cb) {
-  if (runner_.running()) {
-    throw std::logic_error("Cluster::on_commit: subscribe before start()");
-  }
+  if (running_) throw std::logic_error("Cluster::on_commit: subscribe before start()");
   hub_.callbacks.push_back(std::move(cb));
 }
 
-void Cluster::start() { runner_.start(); }
+void Cluster::start() {
+  running_ = true;
+  if (runner_) runner_->start();
+  for (auto& host : hosts_) host->start();
+}
 
 void Cluster::stop() {
-  runner_.stop();
+  if (!running_) return;
+  if (runner_) runner_->stop();
+  for (auto& host : hosts_) host->stop();
+  running_ = false;
   // Replica threads are quiescent now: push any buffered WAL tail to disk so
   // an orderly shutdown loses nothing regardless of the flush cadence.
-  for (auto& durable : durables_) durable->flush();
+  for (auto& per_node : durables_) {
+    for (auto& durable : per_node) durable->flush();
+  }
 }
 
 bool Cluster::wait_for(const std::function<bool()>& pred, runtime::Duration timeout) {
   return hub_.wait_for(pred, timeout);
 }
 
-multishot::MultishotNode& Cluster::replica(NodeId id) {
-  if (runner_.running()) {
-    throw std::logic_error(
-        "Cluster::replica: direct access while running races the replica thread; "
-        "stop() first or use post()/submit()");
+void Cluster::submit(NodeId id, std::vector<std::uint8_t> tx) {
+  shard::ShardMux* mux = muxes_.at(id);
+  const std::uint32_t shard = route(tx);
+  auto fn = [mux, shard, tx = std::move(tx)]() mutable {
+    mux->submit(shard, std::move(tx));
+  };
+  if (runner_) {
+    runner_->post(id, std::move(fn));
+  } else {
+    hosts_.at(id)->post(std::move(fn));
   }
-  return *replicas_.at(id);
+}
+
+runtime::LocalRunner& Cluster::runner() {
+  if (!runner_) throw std::logic_error("Cluster::runner: a socket cluster has no LocalRunner");
+  return *runner_;
 }
 
 // ---- SimCluster ------------------------------------------------------------
@@ -88,175 +100,14 @@ multishot::MultishotNode& Cluster::replica(NodeId id) {
 bool SimCluster::run_until_all_finalized(Slot target, runtime::Duration deadline) {
   return sim_->run_until_pred(
       [this, target] {
-        for (const auto* replica : replicas_) {
-          if (replica->finalized_count() < target) return false;
-        }
-        return true;
-      },
-      deadline);
-}
-
-// ---- ShardedCluster --------------------------------------------------------
-
-void ShardedNode::submit(std::vector<std::uint8_t> tx) {
-  const auto tag = workload::parse_request_tag(tx);
-  const std::uint32_t shard = tag ? cluster_->router_.shard_of(*tag) : 0;
-  shard::ShardMux* mux = cluster_->muxes_.at(id_);
-  cluster_->runner_.post(id_, [mux, shard, tx = std::move(tx)]() mutable {
-    mux->submit(shard, std::move(tx));
-  });
-}
-
-ShardedCluster::ShardedCluster(std::uint32_t shards, std::uint64_t seed)
-    : runner_(runtime::LocalRunnerConfig{seed}), router_(shards) {}
-
-ShardedCluster::~ShardedCluster() { stop(); }
-
-ShardedNode ShardedCluster::node(NodeId id) {
-  if (id >= muxes_.size()) {
-    throw std::out_of_range("ShardedCluster::node: no replica with id " + std::to_string(id));
-  }
-  return ShardedNode(*this, id);
-}
-
-void ShardedCluster::on_commit(CommitCallback cb) {
-  if (runner_.running()) {
-    throw std::logic_error("ShardedCluster::on_commit: subscribe before start()");
-  }
-  hub_.callbacks.push_back(std::move(cb));
-}
-
-void ShardedCluster::start() { runner_.start(); }
-
-void ShardedCluster::stop() {
-  runner_.stop();
-  for (auto& per_node : durables_) {
-    for (auto& durable : per_node) durable->flush();
-  }
-}
-
-bool ShardedCluster::wait_for(const std::function<bool()>& pred, runtime::Duration timeout) {
-  return hub_.wait_for(pred, timeout);
-}
-
-multishot::MultishotNode& ShardedCluster::instance(NodeId id, std::uint32_t shard) {
-  if (runner_.running()) {
-    throw std::logic_error(
-        "ShardedCluster::instance: direct access while running races the replica "
-        "thread; stop() first or use node().submit()");
-  }
-  return muxes_.at(id)->instance(shard);
-}
-
-std::vector<multishot::MultishotNode*> ShardedCluster::shard_instances(std::uint32_t shard) {
-  if (runner_.running()) {
-    throw std::logic_error(
-        "ShardedCluster::shard_instances: direct access while running races the "
-        "replica threads; stop() first");
-  }
-  std::vector<multishot::MultishotNode*> out;
-  out.reserve(muxes_.size());
-  for (auto* mux : muxes_) out.push_back(&mux->instance(shard));
-  return out;
-}
-
-// ---- ShardedSimCluster -----------------------------------------------------
-
-bool ShardedSimCluster::run_until_all_finalized(Slot target, runtime::Duration deadline) {
-  return sim_->run_until_pred(
-      [this, target] {
         for (auto* mux : muxes_) {
-          for (std::uint32_t k = 0; k < router_.shards(); ++k) {
+          for (std::uint32_t k = 0; k < shards(); ++k) {
             if (mux->instance(k).finalized_count() < target) return false;
           }
         }
         return true;
       },
       deadline);
-}
-
-// ---- SocketCluster ---------------------------------------------------------
-
-SocketCluster::~SocketCluster() { stop(); }
-
-void SocketCluster::on_commit(CommitCallback cb) {
-  if (running_) throw std::logic_error("SocketCluster::on_commit: subscribe before start()");
-  hub_.callbacks.push_back(std::move(cb));
-}
-
-void SocketCluster::start() {
-  for (auto& host : hosts_) host->start();
-  running_ = true;
-}
-
-void SocketCluster::stop() {
-  if (!running_) return;
-  running_ = false;
-  for (auto& host : hosts_) host->stop();
-  for (auto& durable : durables_) durable->flush();
-}
-
-bool SocketCluster::wait_for(const std::function<bool()>& pred,
-                             runtime::Duration timeout) {
-  return hub_.wait_for(pred, timeout);
-}
-
-void SocketCluster::submit(NodeId id, std::vector<std::uint8_t> tx) {
-  multishot::MultishotNode* replica = replicas_.at(id);
-  hosts_.at(id)->post([replica, tx = std::move(tx)]() mutable {
-    replica->submit_tx(std::move(tx));
-  });
-}
-
-multishot::MultishotNode& SocketCluster::replica(NodeId id) {
-  if (running_) {
-    throw std::logic_error(
-        "SocketCluster::replica: direct access while running races the node "
-        "thread; stop() first or use submit()");
-  }
-  return *replicas_.at(id);
-}
-
-// ---- SocketNode ------------------------------------------------------------
-
-SocketNode::~SocketNode() { stop(); }
-
-void SocketNode::on_commit(CommitCallback cb) {
-  if (running_) throw std::logic_error("SocketNode::on_commit: subscribe before start()");
-  hub_.callbacks.push_back(std::move(cb));
-}
-
-void SocketNode::start() {
-  host_->start();
-  running_ = true;
-}
-
-void SocketNode::stop() {
-  if (!running_) return;
-  running_ = false;
-  host_->stop();
-  if (durable_) durable_->flush();
-}
-
-bool SocketNode::wait_for(const std::function<bool()>& pred,
-                          runtime::Duration timeout) {
-  return hub_.wait_for(pred, timeout);
-}
-
-void SocketNode::submit(std::vector<std::uint8_t> tx) {
-  multishot::MultishotNode* replica = replica_;
-  host_->post([replica, tx = std::move(tx)]() mutable {
-    replica->submit_tx(std::move(tx));
-  });
-}
-
-multishot::MultishotNode& SocketNode::replica() {
-  if (running_) {
-    throw std::logic_error(
-        "SocketNode::replica: direct access while running races the node "
-        "thread; stop() first or use submit()");
-  }
-  return *replica_;
 }
 
 // ---- ClusterBuilder --------------------------------------------------------
@@ -448,100 +299,43 @@ multishot::MultishotConfig ClusterBuilder::node_config() const {
   return cfg;
 }
 
-std::unique_ptr<storage::DurableChain> ClusterBuilder::attach_durable_at(
-    const std::string& dir, multishot::MultishotNode& replica) const {
+std::unique_ptr<shard::ShardMux> ClusterBuilder::make_replica(
+    detail::Replicas& into, NodeId id, const multishot::MultishotConfig& node_cfg) const {
   storage::DurableOptions opts;
   opts.segment_bytes = wal_segment_bytes_;
   opts.flush_every = wal_flush_every_;
   opts.checkpoint_every = checkpoint_every_;
-  auto durable = std::make_unique<storage::DurableChain>(dir, opts);
-  storage::RecoveredState rec = durable->recover();
-  if (rec.tip() > 0 || !rec.commit_state.empty()) {
-    replica.restore_chain(rec.checkpoint, rec.commit_state, std::move(rec.tail));
-  }
-  replica.set_durable(durable.get());
-  return durable;
-}
-
-std::unique_ptr<storage::DurableChain> ClusterBuilder::attach_durable(
-    NodeId id, multishot::MultishotNode& replica) const {
-  const std::filesystem::path dir =
-      std::filesystem::path(data_dir_) / ("node-" + std::to_string(id));
-  return attach_durable_at(dir.string(), replica);
-}
-
-std::vector<std::unique_ptr<multishot::MultishotNode>> ClusterBuilder::make_shard_instances(
-    NodeId id, const multishot::MultishotConfig& node_cfg,
-    std::vector<std::unique_ptr<storage::DurableChain>>& durables) const {
   std::vector<std::unique_ptr<multishot::MultishotNode>> instances;
-  instances.reserve(shards_);
+  auto& durables = into.durables_.emplace_back();
   for (std::uint32_t k = 0; k < shards_; ++k) {
     auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
     if (!data_dir_.empty()) {
-      const std::filesystem::path dir = std::filesystem::path(data_dir_) /
-                                        ("node-" + std::to_string(id)) /
-                                        ("shard-" + std::to_string(k));
-      durables.push_back(attach_durable_at(dir.string(), *node));
+      // S = 1 keeps the single-chain layout; S > 1 nests one dir per shard.
+      std::filesystem::path dir = std::filesystem::path(data_dir_) / ("node-" + std::to_string(id));
+      if (shards_ > 1) dir /= "shard-" + std::to_string(k);
+      auto durable = std::make_unique<storage::DurableChain>(dir.string(), opts);
+      storage::RecoveredState rec = durable->recover();
+      if (rec.tip() > 0 || !rec.commit_state.empty()) {
+        node->restore_chain(rec.checkpoint, rec.commit_state, std::move(rec.tail));
+      }
+      node->set_durable(durable.get());
+      durables.push_back(std::move(durable));
     }
     instances.push_back(std::move(node));
   }
-  return instances;
-}
-
-void ClusterBuilder::require_unsharded(const char* builder) const {
-  if (shards_ > 1) {
-    throw std::logic_error(std::string("ClusterBuilder: ") + builder +
-                           " builds one chain; with shards(" + std::to_string(shards_) +
-                           ") use build_sharded_local()/build_sharded_sim()");
-  }
-}
-
-std::unique_ptr<ShardedCluster> ClusterBuilder::build_sharded_local() const {
-  const multishot::MultishotConfig node_cfg = node_config();
-  auto cluster = std::unique_ptr<ShardedCluster>(new ShardedCluster(shards_, seed_));
-  for (std::uint32_t i = 0; i < node_cfg.n; ++i) {
-    cluster->durables_.emplace_back();
-    auto mux = std::make_unique<shard::ShardMux>(
-        make_shard_instances(i, node_cfg, cluster->durables_.back()));
-    cluster->muxes_.push_back(mux.get());
-    cluster->runner_.add_node(std::move(mux));
-  }
-  cluster->runner_.add_commit_sink(cluster->hub_);
-  return cluster;
-}
-
-std::unique_ptr<ShardedSimCluster> ClusterBuilder::build_sharded_sim() const {
-  const multishot::MultishotConfig node_cfg = node_config();
-  auto cluster = std::unique_ptr<ShardedSimCluster>(new ShardedSimCluster(shards_));
-  sim::SimConfig sc;
-  sc.seed = seed_;
-  sc.net.delta_bound = delta_bound_;
-  sc.net.delta_actual = sim_delta_actual_;
-  sc.net.delta_min = sim_delta_actual_;
-  cluster->sim_ = std::make_unique<sim::Simulation>(sc);
-  for (std::uint32_t i = 0; i < node_cfg.n; ++i) {
-    cluster->durables_.emplace_back();
-    auto mux = std::make_unique<shard::ShardMux>(
-        make_shard_instances(i, node_cfg, cluster->durables_.back()));
-    shard::ShardMux* raw = mux.get();
-    cluster->muxes_.push_back(raw);
-    cluster->ports_.push_back(std::make_unique<shard::RoutedPort>(
-        cluster->router_, [raw](std::uint32_t shard, std::vector<std::uint8_t> tx) {
-          return raw->submit(shard, std::move(tx));
-        }));
-    cluster->sim_->add_node(std::move(mux));
-  }
-  return cluster;
+  auto mux = std::make_unique<shard::ShardMux>(std::move(instances));
+  into.muxes_.push_back(mux.get());
+  return mux;
 }
 
 std::unique_ptr<Cluster> ClusterBuilder::build_local() const {
-  require_unsharded("build_local()");
-  auto cluster = std::unique_ptr<Cluster>(new Cluster(node_config(), seed_));
-  if (!data_dir_.empty()) {
-    for (NodeId i = 0; i < static_cast<NodeId>(cluster->replicas_.size()); ++i) {
-      cluster->durables_.push_back(attach_durable(i, *cluster->replicas_[i]));
-    }
+  const multishot::MultishotConfig node_cfg = node_config();
+  auto cluster = std::unique_ptr<Cluster>(new Cluster(shards_));
+  cluster->runner_ = std::make_unique<runtime::LocalRunner>(runtime::LocalRunnerConfig{seed_});
+  for (NodeId i = 0; i < node_cfg.n; ++i) {
+    cluster->runner_->add_node(make_replica(*cluster, i, node_cfg));
   }
+  cluster->runner_->add_commit_sink(cluster->hub_);
   return cluster;
 }
 
@@ -573,27 +367,21 @@ runtime::SocketHostConfig ClusterBuilder::socket_host_config(
   return hc;
 }
 
-std::unique_ptr<SocketCluster> ClusterBuilder::build_socket() const {
-  require_unsharded("build_socket()");
+std::unique_ptr<Cluster> ClusterBuilder::build_socket() const {
   const multishot::MultishotConfig node_cfg = node_config();
-  auto cluster = std::unique_ptr<SocketCluster>(new SocketCluster());
-  for (std::uint32_t i = 0; i < node_cfg.n; ++i) {
-    auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
-    cluster->replicas_.push_back(node.get());
-    if (!data_dir_.empty()) {
-      cluster->durables_.push_back(attach_durable(i, *node));
-    }
+  auto cluster = std::unique_ptr<Cluster>(new Cluster(shards_));
+  auto& hosts = cluster->hosts_;
+  for (NodeId i = 0; i < node_cfg.n; ++i) {
     // Ephemeral listen port: the host binds at construction, so the real
     // port is known immediately and nothing ever guesses a free one.
-    cluster->hosts_.push_back(std::make_unique<runtime::SocketHost>(
-        socket_host_config(i, net::Endpoint{"127.0.0.1", 0}), std::move(node)));
+    hosts.push_back(std::make_unique<runtime::SocketHost>(
+        socket_host_config(i, net::Endpoint{"127.0.0.1", 0}),
+        make_replica(*cluster, i, node_cfg)));
   }
-  for (std::uint32_t i = 0; i < node_cfg.n; ++i) {
-    cluster->hosts_[i]->add_commit_sink(cluster->hub_);
-    for (std::uint32_t j = 0; j < node_cfg.n; ++j) {
-      if (j == i) continue;
-      cluster->hosts_[i]->set_peer_endpoint(
-          j, net::Endpoint{"127.0.0.1", cluster->hosts_[j]->port()});
+  for (NodeId i = 0; i < node_cfg.n; ++i) {
+    hosts[i]->add_commit_sink(cluster->hub_);
+    for (NodeId j = 0; j < node_cfg.n; ++j) {
+      if (j != i) hosts[i]->set_peer_endpoint(j, net::Endpoint{"127.0.0.1", hosts[j]->port()});
     }
   }
   return cluster;
@@ -601,29 +389,23 @@ std::unique_ptr<SocketCluster> ClusterBuilder::build_socket() const {
 
 std::unique_ptr<SocketNode> ClusterBuilder::build_socket_node(
     NodeId id, net::Endpoint listen) const {
-  require_unsharded("build_socket_node()");
   const multishot::MultishotConfig node_cfg = node_config();
   if (id >= node_cfg.n) {
     throw std::invalid_argument("ClusterBuilder: build_socket_node id " +
                                 std::to_string(id) + " out of range for n=" +
                                 std::to_string(node_cfg.n));
   }
-  auto sn = std::unique_ptr<SocketNode>(new SocketNode());
-  auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
-  sn->replica_ = node.get();
-  if (!data_dir_.empty()) {
-    sn->durable_ = attach_durable(id, *node);
-  }
-  sn->host_ = std::make_unique<runtime::SocketHost>(
-      socket_host_config(id, std::move(listen)), std::move(node));
-  sn->host_->add_commit_sink(sn->hub_);
+  auto sn = std::unique_ptr<SocketNode>(new SocketNode(shards_));
+  Cluster& c = *sn;
+  c.hosts_.push_back(std::make_unique<runtime::SocketHost>(
+      socket_host_config(id, std::move(listen)), make_replica(c, id, node_cfg)));
+  c.hosts_.front()->add_commit_sink(c.hub_);
   return sn;
 }
 
 std::unique_ptr<SimCluster> ClusterBuilder::build_sim() const {
-  require_unsharded("build_sim()");
   const multishot::MultishotConfig node_cfg = node_config();
-  auto cluster = std::unique_ptr<SimCluster>(new SimCluster());
+  auto cluster = std::unique_ptr<SimCluster>(new SimCluster(shards_));
   sim::SimConfig sc;
   sc.seed = seed_;
   sc.net.delta_bound = delta_bound_;
@@ -631,20 +413,14 @@ std::unique_ptr<SimCluster> ClusterBuilder::build_sim() const {
   sc.net.delta_min = sim_delta_actual_;
   cluster->sim_ = std::make_unique<sim::Simulation>(sc);
   struct ReplicaPort final : workload::SubmitPort {
-    explicit ReplicaPort(multishot::MultishotNode& n) : node(&n) {}
-    bool submit(std::vector<std::uint8_t> tx) override {
-      return node->submit_tx(std::move(tx));
-    }
-    multishot::MultishotNode* node;
+    ReplicaPort(SimCluster& c, NodeId i) : cluster(&c), id(i) {}
+    bool submit(std::vector<std::uint8_t> tx) override { return cluster->submit(id, std::move(tx)); }
+    SimCluster* cluster;
+    NodeId id;
   };
-  for (std::uint32_t i = 0; i < node_cfg.n; ++i) {
-    auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
-    cluster->replicas_.push_back(node.get());
-    cluster->ports_.push_back(std::make_unique<ReplicaPort>(*node));
-    if (!data_dir_.empty()) {
-      cluster->durables_.push_back(attach_durable(i, *node));
-    }
-    cluster->sim_->add_node(std::move(node));
+  for (NodeId i = 0; i < node_cfg.n; ++i) {
+    cluster->ports_.push_back(std::make_unique<ReplicaPort>(*cluster, i));
+    cluster->sim_->add_node(make_replica(*cluster, i, node_cfg));
   }
   return cluster;
 }

@@ -7,8 +7,8 @@
 // clock, metrics, randomness, and commit publication. Nothing in this
 // header knows about the discrete-event simulator -- the Simulation
 // (sim/runtime.hpp) is just one Host implementation, the real-time
-// threaded LocalRunner (runtime/local_runner.hpp) is another, and a
-// socket-backed deployment would be a third.
+// threaded LocalRunner (runtime/local_runner.hpp) is another, and the TCP
+// SocketHost (runtime/socket_host.hpp) is a third.
 //
 // Threading contract: a Host delivers on_start / on_message / on_timer for
 // one node strictly serialized (never concurrently), so ProtocolNode
@@ -64,8 +64,9 @@ class CommitSink {
   virtual void on_commit(const Commit& commit) = 0;
 };
 
-/// Services a node may use. Implemented by the Simulation (sim/runtime.hpp)
-/// and the LocalRunner (runtime/local_runner.hpp).
+/// Services a node may use. Implemented by the Simulation (sim/runtime.hpp),
+/// the LocalRunner (runtime/local_runner.hpp) and the SocketHost
+/// (runtime/socket_host.hpp).
 class Host {
  public:
   virtual ~Host() = default;

@@ -1,67 +1,40 @@
 #include "runtime/local_runner.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
 
 namespace tbft::runtime {
 
-// ---- Context ---------------------------------------------------------------
+// ---- Node ------------------------------------------------------------------
 
-class LocalRunner::Context final : public Host {
- public:
-  Context(LocalRunner& runner, NodeId id) : runner_(runner), id_(id) {}
+LocalRunner::Node::Node(LocalRunner& runner, NodeId id, std::unique_ptr<ProtocolNode> n,
+                        Rng rng)
+    : node(std::move(n)), runner_(runner), id_(id), rng_(rng), loop(runner.epoch_) {
+  node->bind(*this);
+}
 
-  [[nodiscard]] NodeId id() const override { return id_; }
-  [[nodiscard]] std::uint32_t n() const override { return runner_.node_count(); }
-  /// The node's *skewed* clock: protocol code never sees the real time.
-  [[nodiscard]] Time now() const override {
-    return runner_.node_now(runner_.nodes_[id_]);
-  }
+void LocalRunner::Node::send(NodeId dst, Payload payload) {
+  runner_.nodes_.at(dst).loop.deliver(id_, std::move(payload));
+}
 
-  void send(NodeId dst, Payload payload) override {
-    runner_.deliver(dst, id_, std::move(payload));
-  }
+void LocalRunner::Node::broadcast(Payload payload) {
+  // Every recipient shares the same ref-counted payload: the copies below
+  // bump an atomic reference count, never the bytes.
+  for (Node& dst : runner_.nodes_) dst.loop.deliver(id_, payload);
+}
 
-  void broadcast(Payload payload) override {
-    // Every recipient shares the same ref-counted payload: the copies below
-    // bump an atomic reference count, never the bytes.
-    const std::uint32_t n = runner_.node_count();
-    for (NodeId dst = 0; dst < n; ++dst) {
-      runner_.deliver(dst, id_, payload);
-    }
-  }
-
-  TimerId set_timer(Duration delay) override {
-    TBFT_ASSERT(delay >= 0);
-    // Owner-thread only: handlers (and post()ed functors) run on the node's
-    // thread, the only thread that touches this wheel. Deadlines live in
-    // the node's skewed time domain -- run_node compares them against
-    // node_now and converts back to real time only to sleep.
-    NodeRt& rt = runner_.nodes_[id_];
-    return rt.timers.arm(runner_.node_now(rt) + delay);
-  }
-
-  void cancel_timer(TimerId id) override { runner_.nodes_[id_].timers.cancel(id); }
-
-  void publish_commit(std::uint64_t stream, Value value,
-                      std::span<const std::uint8_t> payload) override {
-    runner_.publish_commit(id_, stream, value, payload);
-  }
-
-  MetricsRegistry& metrics() override { return *runner_.nodes_[id_].metrics; }
-  Rng& rng() override { return runner_.nodes_[id_].rng; }
-
- private:
-  LocalRunner& runner_;
-  NodeId id_;
-};
+void LocalRunner::Node::publish_commit(std::uint64_t stream, Value value,
+                                       std::span<const std::uint8_t> payload) {
+  const Commit commit{id_, stream, value, payload, runner_.now()};
+  std::lock_guard<std::mutex> lk(runner_.commit_mx_);
+  for (CommitSink* sink : runner_.commit_sinks_) sink->on_commit(commit);
+}
 
 // ---- LocalRunner -----------------------------------------------------------
 
 LocalRunner::LocalRunner(LocalRunnerConfig cfg)
-    : cfg_(cfg), epoch_(std::chrono::steady_clock::now()), root_rng_(cfg.seed) {}
+    : epoch_(std::chrono::steady_clock::now()), root_rng_(cfg.seed) {}
 
 LocalRunner::~LocalRunner() { stop(); }
 
@@ -71,39 +44,15 @@ Time LocalRunner::now() const noexcept {
       .count();
 }
 
-Time LocalRunner::node_now(const NodeRt& rt) const noexcept {
-  const Time real = now();
-  const Time skewed =
-      real + rt.skew_offset + static_cast<Time>(rt.drift * static_cast<double>(real));
-  // A clock never reads before its own boot: a negative offset would
-  // otherwise make pre-start state (mempool holds stamped 0) sit in the
-  // node's future and freeze batching until the skew wears off.
-  return skewed < 0 ? 0 : skewed;
-}
-
-Time LocalRunner::to_real(const NodeRt& rt, Time local) const noexcept {
-  const auto real =
-      static_cast<double>(local - rt.skew_offset) / (1.0 + rt.drift);
-  return real <= 0 ? 0 : static_cast<Time>(real);
-}
-
 void LocalRunner::set_clock_skew(NodeId node, Duration offset, double drift) {
-  TBFT_ASSERT_MSG(!started_, "set_clock_skew before start()");
-  TBFT_ASSERT_MSG(drift > -1.0, "drift must be > -1");
-  NodeRt& rt = nodes_.at(node);
-  rt.skew_offset = offset;
-  rt.drift = drift;
+  nodes_.at(node).loop.set_clock_skew(offset, drift);
 }
 
 NodeId LocalRunner::add_node(std::unique_ptr<ProtocolNode> node) {
   TBFT_ASSERT_MSG(!started_, "cannot add nodes after start()");
   const auto id = static_cast<NodeId>(nodes_.size());
-  NodeRt& rt = nodes_.emplace_back();
-  rt.node = std::move(node);
-  rt.ctx = std::make_unique<Context>(*this, id);
-  rt.metrics = std::make_unique<MetricsRegistry>();
-  rt.rng = root_rng_.fork();  // same per-node derivation as the Simulation
-  rt.node->bind(*rt.ctx);
+  // Same per-node Rng derivation as the Simulation: fork in NodeId order.
+  nodes_.emplace_back(*this, id, std::move(node), root_rng_.fork());
   return id;
 }
 
@@ -115,112 +64,13 @@ void LocalRunner::add_commit_sink(CommitSink& sink) {
 void LocalRunner::start() {
   TBFT_ASSERT_MSG(!started_, "start() called twice");
   started_ = true;
-  for (NodeRt& rt : nodes_) {
-    rt.thread = std::thread([this, &rt] { run_node(rt); });
-  }
+  for (Node& n : nodes_) n.loop.start(*n.node);
 }
 
 void LocalRunner::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
-  for (NodeRt& rt : nodes_) {
-    {
-      std::lock_guard<std::mutex> lk(rt.mx);
-      rt.stopping = true;
-    }
-    rt.cv.notify_all();
-  }
-  for (NodeRt& rt : nodes_) {
-    if (rt.thread.joinable()) rt.thread.join();
-  }
-}
-
-void LocalRunner::enqueue(NodeId dst, InboxEntry entry) {
-  NodeRt& rt = nodes_.at(dst);
-  {
-    std::lock_guard<std::mutex> lk(rt.mx);
-    if (rt.stopping) return;  // shutting down: drop, like a closed socket
-    rt.inbox.push_back(std::move(entry));
-  }
-  rt.cv.notify_one();
-}
-
-void LocalRunner::deliver(NodeId dst, NodeId src, Payload payload) {
-  InboxEntry e;
-  e.src = src;
-  e.payload = std::move(payload);
-  enqueue(dst, std::move(e));
-}
-
-void LocalRunner::post(NodeId node, std::function<void()> fn) {
-  if (!started_) {
-    // No thread exists yet; the caller is the only mutator. Running inline
-    // keeps pre-start seeding (mempool pre-loads) trivially ordered before
-    // on_start.
-    fn();
-    return;
-  }
-  InboxEntry e;
-  e.call = std::move(fn);
-  enqueue(node, std::move(e));
-}
-
-void LocalRunner::publish_commit(NodeId node, std::uint64_t stream, Value value,
-                                 std::span<const std::uint8_t> payload) {
-  const Commit commit{node, stream, value, payload, now()};
-  std::lock_guard<std::mutex> lk(commit_mx_);
-  for (CommitSink* sink : commit_sinks_) sink->on_commit(commit);
-}
-
-void LocalRunner::run_node(NodeRt& rt) {
-  rt.node->on_start();
-
-  std::vector<InboxEntry> batch;
-  std::vector<TimerId> fired;
-  std::unique_lock<std::mutex> lk(rt.mx);
-  while (!rt.stopping) {
-    // Due timers fire before the next message batch, every iteration:
-    // sustained message arrival must not starve the view timers (the
-    // Simulation interleaves by timestamp; a flooding peer must not be
-    // able to suppress view changes here). The wheel is owner-thread
-    // data; peeking it under the mailbox lock is fine (set/cancel also
-    // run on this thread, never concurrently).
-    // Wheel deadlines are in the node's skewed clock domain (set_timer).
-    const Time next = rt.timers.next_deadline();
-    if (next <= node_now(rt)) {
-      fired.clear();
-      rt.timers.pop_due(node_now(rt), fired);
-      lk.unlock();
-      for (const TimerId id : fired) rt.node->on_timer(id);
-      lk.lock();
-      continue;
-    }
-
-    if (!rt.inbox.empty()) {
-      batch.swap(rt.inbox);
-      lk.unlock();
-      for (InboxEntry& e : batch) {
-        if (e.call) {
-          e.call();
-        } else {
-          rt.node->on_message(e.src, e.payload);
-        }
-      }
-      batch.clear();  // drop payload refs outside the lock
-      lk.lock();
-      continue;
-    }
-
-    const auto woken = [&] { return rt.stopping || !rt.inbox.empty(); };
-    if (next == kNever) {
-      rt.cv.wait(lk, woken);
-    } else {
-      // Sleep in real time: invert the skew so a drifting clock's deadline
-      // still wakes at the right steady_clock instant.
-      rt.cv.wait_until(lk, epoch_ + std::chrono::microseconds(to_real(rt, next)),
-                       woken);
-    }
-  }
+  for (Node& n : nodes_) n.loop.stop();
 }
 
 }  // namespace tbft::runtime

@@ -1,23 +1,22 @@
 #pragma once
 // LocalRunner: a real-time, in-process Host implementation of the runtime
-// API (runtime/host.hpp). One OS thread per node; mutex+condvar mailboxes
-// carry the same ref-counted Payloads the simulator moves (zero payload
-// copies on an n-way broadcast); timers come off a steady_clock-backed
-// per-node timer wheel. The identical ProtocolNode binaries the Simulation
-// verifies -- MultishotNode, TetraNode, the baselines -- run here unchanged,
-// which is what makes wall-clock (not simulated) throughput measurable and
-// is the stepping stone to a socket-backed deployment.
+// API (runtime/host.hpp). Each node runs on its own runtime::NodeLoop (one
+// OS thread, a mutex+condvar mailbox, a timer wheel over the node's
+// steady_clock-backed clock); mailboxes carry the same ref-counted Payloads
+// the simulator moves (zero payload copies on an n-way broadcast). The
+// identical ProtocolNode binaries the Simulation verifies -- MultishotNode,
+// shard::ShardMux, TetraNode, the baselines -- run here unchanged, which is
+// what makes wall-clock (not simulated) throughput measurable.
 //
 // Division of labor: the Simulation stays the verification tool of record
 // (deterministic, adversarial, byte-identical traces); the LocalRunner is
 // the performance and integration vehicle (real threads, real time, TSan).
 //
-// Threading model:
-//  - every node runs on its own thread; on_start / on_message / on_timer
-//    for that node are strictly serialized on it (the Host contract);
+// Threading model (the NodeLoop contract, runtime/node_loop.hpp):
+//  - on_start / on_message / on_timer for one node are strictly serialized
+//    on its loop thread;
 //  - send/broadcast lock only the *destination* mailbox; payload buffers
-//    are shared across recipients via Payload's atomic refcount, and the
-//    mailbox mutex publishes the write-once bytes + decode cache;
+//    are shared across recipients via Payload's atomic refcount;
 //  - self-sends enqueue to the node's own mailbox (handlers never re-enter
 //    each other), mirroring the simulator's scheduling semantics;
 //  - commits fan out to the registered CommitSinks under one commit mutex,
@@ -29,13 +28,11 @@
 // thread-safe by design; it must run on the owning thread).
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -43,7 +40,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "runtime/host.hpp"
-#include "runtime/timer_wheel.hpp"
+#include "runtime/node_loop.hpp"
 
 namespace tbft::runtime {
 
@@ -99,68 +96,46 @@ class LocalRunner {
   /// handlers (FIFO with deliveries). Before start(), `fn` runs inline on
   /// the caller -- no thread exists yet, which makes pre-start state
   /// seeding (e.g. mempool pre-loading) trivially safe.
-  void post(NodeId node, std::function<void()> fn);
+  void post(NodeId node, std::function<void()> fn) { nodes_.at(node).loop.post(std::move(fn)); }
 
   /// Microseconds of steady_clock time since this runner was constructed.
   [[nodiscard]] Time now() const noexcept;
 
-  /// Direct node access. Only safe from the node's own thread (via post)
-  /// or while the runner is not running.
-  [[nodiscard]] ProtocolNode& node(NodeId id) { return *nodes_.at(id).node; }
-
-  template <class T>
-  [[nodiscard]] T& node_as(NodeId id) {
-    return dynamic_cast<T&>(*nodes_.at(id).node);
-  }
-
  private:
-  class Context;
+  /// One hosted node: its protocol object, its loop, and the Host view it
+  /// is bound to. Lives in a deque (holds a mutex, never moves).
+  class Node final : public Host {
+   public:
+    Node(LocalRunner& runner, NodeId id, std::unique_ptr<ProtocolNode> node, Rng rng);
 
-  struct InboxEntry {
-    NodeId src{0};
-    Payload payload;                  // deliver entry when call is empty
-    std::function<void()> call;       // posted functor otherwise
-  };
+    [[nodiscard]] NodeId id() const override { return id_; }
+    [[nodiscard]] std::uint32_t n() const override { return runner_.node_count(); }
+    /// The node's *skewed* clock: protocol code never sees the real time.
+    [[nodiscard]] Time now() const override { return loop.now(); }
+    void send(NodeId dst, Payload payload) override;
+    void broadcast(Payload payload) override;
+    TimerId set_timer(Duration delay) override { return loop.set_timer(delay); }
+    void cancel_timer(TimerId id) override { loop.cancel_timer(id); }
+    void publish_commit(std::uint64_t stream, Value value,
+                        std::span<const std::uint8_t> payload) override;
+    MetricsRegistry& metrics() override { return metrics_; }
+    Rng& rng() override { return rng_; }
 
-  struct NodeRt {
     std::unique_ptr<ProtocolNode> node;
-    std::unique_ptr<Context> ctx;
-    std::unique_ptr<MetricsRegistry> metrics;
-    Rng rng{0};
 
-    /// Clock skew (set_clock_skew): the node's observed clock is
-    /// real + skew_offset + drift * real. Written before start() only.
-    Duration skew_offset{0};
-    double drift{0.0};
+   private:
+    LocalRunner& runner_;
+    NodeId id_;
+    MetricsRegistry metrics_;
+    Rng rng_;
 
-    std::mutex mx;
-    std::condition_variable cv;
-    std::vector<InboxEntry> inbox;  // guarded by mx
-    bool stopping{false};           // guarded by mx
-
-    /// Per-node timer wheel (runtime/timer_wheel.hpp): owner-thread only --
-    /// set/cancel run inside the node's handlers, expiry runs in its loop.
-    TimerWheel timers;
-    std::thread thread;
-
-    NodeRt() = default;
+   public:
+    NodeLoop loop;  // last: its thread uses every member above
   };
 
-  /// `rt`'s skewed clock reading, and its inverse (skewed deadline -> real
-  /// steady-clock microseconds, for wait_until).
-  [[nodiscard]] Time node_now(const NodeRt& rt) const noexcept;
-  [[nodiscard]] Time to_real(const NodeRt& rt, Time local) const noexcept;
-
-  void run_node(NodeRt& rt);
-  void enqueue(NodeId dst, InboxEntry entry);
-  void deliver(NodeId dst, NodeId src, Payload payload);
-  void publish_commit(NodeId node, std::uint64_t stream, Value value,
-                      std::span<const std::uint8_t> payload);
-
-  LocalRunnerConfig cfg_;
   std::chrono::steady_clock::time_point epoch_;
   Rng root_rng_;
-  std::deque<NodeRt> nodes_;  // deque: NodeRt holds a mutex and never moves
+  std::deque<Node> nodes_;
   std::vector<CommitSink*> commit_sinks_;
   std::mutex commit_mx_;
   bool started_{false};

@@ -44,8 +44,9 @@ struct SocketHost::Conn {
   std::size_t ctrl_off{0};
   Payload cur;
   bool cur_valid{false};
-  std::uint8_t cur_header[net::kFrameHeaderBytes]{};
-  std::size_t cur_off{0};  // bytes of header+payload already written
+  std::uint8_t cur_header[net::kMaxDataHeaderBytes]{};
+  std::size_t cur_header_len{0};  // kData header, or kRouted header + route
+  std::size_t cur_off{0};         // bytes of header+payload already written
 
   Time last_rx{0};
   bool ping_outstanding{false};
@@ -83,9 +84,7 @@ Duration jittered_backoff(std::uint32_t attempt, Duration base, Duration cap,
 // ---- construction / lifecycle ----------------------------------------------
 
 SocketHost::SocketHost(SocketHostConfig cfg, std::unique_ptr<ProtocolNode> node)
-    : cfg_(std::move(cfg)),
-      node_(std::move(node)),
-      epoch_(std::chrono::steady_clock::now()) {
+    : cfg_(std::move(cfg)), node_(std::move(node)), loop_(std::chrono::steady_clock::now()) {
   TBFT_ASSERT_MSG(cfg_.n >= 1 && cfg_.id < cfg_.n, "bad SocketHostConfig id/n");
   if (cfg_.peers.size() < cfg_.n) cfg_.peers.resize(cfg_.n);
 
@@ -118,12 +117,6 @@ SocketHost::SocketHost(SocketHostConfig cfg, std::unique_ptr<ProtocolNode> node)
 
 SocketHost::~SocketHost() { stop(); }
 
-Time SocketHost::now() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
 void SocketHost::set_peer_endpoint(NodeId peer, net::Endpoint ep) {
   TBFT_ASSERT_MSG(!started_, "set_peer_endpoint after start()");
   cfg_.peers.at(peer) = std::move(ep);
@@ -138,51 +131,25 @@ void SocketHost::start() {
   TBFT_ASSERT_MSG(!started_, "start() called twice");
   started_ = true;
   io_thread_ = std::thread([this] { run_io(); });
-  node_thread_ = std::thread([this] { run_node(); });
+  loop_.start(*node_);
 }
 
 void SocketHost::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
   stop_.store(true);
-  {
-    std::lock_guard<std::mutex> lk(mx_);
-  }
-  cv_.notify_all();
+  loop_.stop();
   io_wake();
-  if (node_thread_.joinable()) node_thread_.join();
   if (io_thread_.joinable()) io_thread_.join();
 }
 
-// ---- node side (Host interface + mailbox loop) -----------------------------
-
-void SocketHost::enqueue(InboxEntry entry) {
-  {
-    std::lock_guard<std::mutex> lk(mx_);
-    if (stop_.load(std::memory_order_relaxed)) return;
-    inbox_.push_back(std::move(entry));
-  }
-  cv_.notify_one();
-}
-
-void SocketHost::post(std::function<void()> fn) {
-  if (!started_) {
-    fn();  // no thread yet: caller is the only mutator (pre-start seeding)
-    return;
-  }
-  InboxEntry e;
-  e.call = std::move(fn);
-  enqueue(std::move(e));
-}
+// ---- node side (Host interface) --------------------------------------------
 
 void SocketHost::send(NodeId dst, Payload payload) {
   if (dst == cfg_.id) {
     // Self-sends never touch the network: straight to the own mailbox, the
     // same semantics as the Simulation and the LocalRunner.
-    InboxEntry e;
-    e.src = cfg_.id;
-    e.payload = std::move(payload);
-    enqueue(std::move(e));
+    loop_.deliver(cfg_.id, std::move(payload));
     return;
   }
   if (dst >= cfg_.n) return;
@@ -210,65 +177,11 @@ void SocketHost::broadcast(Payload payload) {
   send(cfg_.id, std::move(payload));
 }
 
-TimerId SocketHost::set_timer(Duration delay) {
-  TBFT_ASSERT(delay >= 0);
-  // Owner-thread only: handlers and post()ed functors run on the node
-  // thread, the only thread that touches the wheel.
-  return timers_.arm(now() + delay);
-}
-
-void SocketHost::cancel_timer(TimerId id) { timers_.cancel(id); }
-
 void SocketHost::publish_commit(std::uint64_t stream, Value value,
                                 std::span<const std::uint8_t> payload) {
   const Commit commit{cfg_.id, stream, value, payload, now()};
   std::lock_guard<std::mutex> lk(commit_mx_);
   for (CommitSink* sink : commit_sinks_) sink->on_commit(commit);
-}
-
-void SocketHost::run_node() {
-  node_->on_start();
-
-  std::vector<InboxEntry> batch;
-  std::vector<TimerId> fired;
-  std::unique_lock<std::mutex> lk(mx_);
-  while (!stop_.load(std::memory_order_relaxed)) {
-    // Due timers fire before the next message batch (sustained arrival must
-    // not starve view timers) -- identical to LocalRunner::run_node.
-    const Time next = timers_.next_deadline();
-    if (next <= now()) {
-      fired.clear();
-      timers_.pop_due(now(), fired);
-      lk.unlock();
-      for (const TimerId id : fired) node_->on_timer(id);
-      lk.lock();
-      continue;
-    }
-
-    if (!inbox_.empty()) {
-      batch.swap(inbox_);
-      lk.unlock();
-      for (InboxEntry& e : batch) {
-        if (e.call) {
-          e.call();
-        } else {
-          node_->on_message(e.src, e.payload);
-        }
-      }
-      batch.clear();  // drop payload refs outside the lock
-      lk.lock();
-      continue;
-    }
-
-    const auto woken = [&] {
-      return stop_.load(std::memory_order_relaxed) || !inbox_.empty();
-    };
-    if (next == kNever) {
-      cv_.wait(lk, woken);
-    } else {
-      cv_.wait_until(lk, epoch_ + std::chrono::microseconds(next), woken);
-    }
-  }
 }
 
 // ---- IO thread -------------------------------------------------------------
@@ -410,19 +323,21 @@ void SocketHost::io_on_frame(Conn& c, net::FrameKind kind,
       return;
     case net::FrameKind::kPong:
       return;  // last_rx already refreshed by the read itself
-    case net::FrameKind::kData: {
-      if (!c.established()) {
-        // Data before the handshake completes is a protocol violation:
-        // count it and drop the stranger.
+    case net::FrameKind::kData:
+    case net::FrameKind::kRouted: {
+      std::uint32_t route = 0;
+      if (!c.established() ||
+          (kind == net::FrameKind::kRouted && !net::take_route(body, route))) {
+        // Data before the handshake completes, or a malformed route, is a
+        // protocol violation: count it and drop the stranger.
         stats_.rx_junk.fetch_add(1, std::memory_order_relaxed);
         c.dead = true;
         return;
       }
       stats_.frames_rx.fetch_add(1, std::memory_order_relaxed);
-      InboxEntry e;
-      e.src = c.peer;
-      e.payload = Payload(std::move(body));  // adopt: no copy of the frame body
-      enqueue(std::move(e));
+      Payload payload(std::move(body));  // adopt: no copy of the frame body
+      payload.set_route(route);          // before publication to the node
+      loop_.deliver(c.peer, std::move(payload));
       return;
     }
   }
@@ -516,8 +431,8 @@ void SocketHost::io_handle_writable(Conn& c) {
       p.queue.pop_front();
       c.cur_valid = true;
       c.cur_off = 0;
-      net::put_frame_header(c.cur_header, net::FrameKind::kData,
-                            static_cast<std::uint32_t>(c.cur.size()));
+      c.cur_header_len = net::put_data_header(c.cur_header, c.cur.route(),
+                                              static_cast<std::uint32_t>(c.cur.size()));
     }
     // Gather-write the header remainder + payload remainder straight from
     // the shared payload bytes: zero copies on the tx path. sendmsg, not
@@ -526,13 +441,13 @@ void SocketHost::io_handle_writable(Conn& c) {
     const auto payload = c.cur.bytes();
     iovec iov[2];
     int iovcnt = 0;
-    if (c.cur_off < net::kFrameHeaderBytes) {
+    if (c.cur_off < c.cur_header_len) {
       iov[iovcnt].iov_base = c.cur_header + c.cur_off;
-      iov[iovcnt].iov_len = net::kFrameHeaderBytes - c.cur_off;
+      iov[iovcnt].iov_len = c.cur_header_len - c.cur_off;
       ++iovcnt;
     }
     const std::size_t payload_off =
-        c.cur_off > net::kFrameHeaderBytes ? c.cur_off - net::kFrameHeaderBytes : 0;
+        c.cur_off > c.cur_header_len ? c.cur_off - c.cur_header_len : 0;
     if (payload_off < payload.size()) {
       iov[iovcnt].iov_base =
           const_cast<std::uint8_t*>(payload.data()) + payload_off;
@@ -557,7 +472,7 @@ void SocketHost::io_handle_writable(Conn& c) {
                                 std::memory_order_relaxed);
     }
     c.cur_off += static_cast<std::size_t>(sent);
-    if (c.cur_off >= net::kFrameHeaderBytes + payload.size()) {
+    if (c.cur_off >= c.cur_header_len + payload.size()) {
       stats_.frames_tx.fetch_add(1, std::memory_order_relaxed);
       c.cur = Payload();
       c.cur_valid = false;

@@ -11,14 +11,15 @@
 // transports apart (tests/test_socket_equivalence.cpp proves it).
 //
 // Threading model (two threads per host):
-//  - the NODE thread owns the ProtocolNode: mailbox + condvar + timer
-//    wheel, the same strictly-serialized handler loop as the LocalRunner's
-//    run_node. metrics() and rng() are only touched here.
+//  - the NODE thread is a runtime::NodeLoop -- the same mailbox + timer
+//    wheel loop every LocalRunner node runs. metrics() and rng() are only
+//    touched here.
 //  - the IO thread owns every socket: a poll() loop over the listener, the
 //    peer connections and a self-pipe that the node thread writes to when
-//    it enqueues outbound payloads. Received kData frames are adopted into
-//    Payloads and handed to the node mailbox; outbound Payloads are popped
-//    from per-peer queues and written as frames.
+//    it enqueues outbound payloads. Received data frames are adopted into
+//    Payloads (route restored from a kRouted frame) and handed to the node
+//    mailbox; outbound Payloads are popped from per-peer queues and written
+//    as kData frames, or kRouted frames when they carry a nonzero route.
 //  The two threads share only the mailbox, the outbound queues (one mutex
 //  each) and the NetStats atomics -- never the MetricsRegistry (a std::map,
 //  deliberately not thread-safe) and never the sockets.
@@ -54,7 +55,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -70,8 +70,8 @@
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "runtime/host.hpp"
+#include "runtime/node_loop.hpp"
 #include "runtime/time.hpp"
-#include "runtime/timer_wheel.hpp"
 
 namespace tbft::runtime {
 
@@ -175,7 +175,7 @@ class SocketHost final : public Host {
   /// Run `fn` on the node thread, serialized with its handlers (FIFO with
   /// deliveries). Before start() it runs inline on the caller -- the safe
   /// window for pre-start seeding (mempool pre-loads).
-  void post(std::function<void()> fn);
+  void post(std::function<void()> fn) { loop_.post(std::move(fn)); }
 
   /// Direct node access: only from the node's own thread (via post) or
   /// while the host is not running.
@@ -190,11 +190,11 @@ class SocketHost final : public Host {
   // Host interface (node thread only, except id/n/now which are const).
   [[nodiscard]] NodeId id() const override { return cfg_.id; }
   [[nodiscard]] std::uint32_t n() const override { return cfg_.n; }
-  [[nodiscard]] Time now() const override;
+  [[nodiscard]] Time now() const override { return loop_.now(); }
   void send(NodeId dst, Payload payload) override;
   void broadcast(Payload payload) override;
-  TimerId set_timer(Duration delay) override;
-  void cancel_timer(TimerId id) override;
+  TimerId set_timer(Duration delay) override { return loop_.set_timer(delay); }
+  void cancel_timer(TimerId id) override { loop_.cancel_timer(id); }
   void publish_commit(std::uint64_t stream, Value value,
                       std::span<const std::uint8_t> payload) override;
   MetricsRegistry& metrics() override { return metrics_; }
@@ -203,15 +203,6 @@ class SocketHost final : public Host {
  private:
   struct Conn;       // one TCP connection (defined in socket_host.cpp)
   struct PeerState;  // per-peer queue + redial bookkeeping
-
-  struct InboxEntry {
-    NodeId src{0};
-    Payload payload;             // deliver entry when call is empty
-    std::function<void()> call;  // posted functor otherwise
-  };
-
-  void run_node();
-  void enqueue(InboxEntry entry);
 
   // IO thread internals.
   void run_io();
@@ -231,7 +222,6 @@ class SocketHost final : public Host {
 
   SocketHostConfig cfg_;
   std::unique_ptr<ProtocolNode> node_;
-  std::chrono::steady_clock::time_point epoch_;
   MetricsRegistry metrics_;
   Rng rng_{0};     // node-thread only (ProtocolNode::ctx().rng())
   Rng io_rng_{0};  // IO-thread only: backoff jitter; derived independently of
@@ -241,12 +231,6 @@ class SocketHost final : public Host {
   net::Fd listener_;
   std::uint16_t listen_port_{0};
   net::Fd wake_rd_, wake_wr_;  // self-pipe: node thread -> poll loop
-
-  // Node mailbox (shared: IO thread + post() producers, node thread consumer).
-  std::mutex mx_;
-  std::condition_variable cv_;
-  std::vector<InboxEntry> inbox_;  // guarded by mx_
-  TimerWheel timers_;              // node-thread only
 
   // Outbound queues (shared: node thread producer, IO thread consumer).
   std::mutex out_mx_;
@@ -258,7 +242,7 @@ class SocketHost final : public Host {
   // IO-thread-only connection state.
   std::vector<std::unique_ptr<Conn>> conns_;
 
-  std::thread node_thread_;
+  NodeLoop loop_;  // the node thread: mailbox + timers
   std::thread io_thread_;
   std::atomic<bool> stop_{false};
   bool started_{false};

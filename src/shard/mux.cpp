@@ -8,7 +8,7 @@ ShardMux::ShardMux(std::vector<std::unique_ptr<multishot::MultishotNode>> instan
   // Bind every instance to its adapter NOW: the adapters reach the outer
   // context lazily (at call time), so inner nodes can serve pre-start
   // seeding (submit through a bound host) the moment the mux itself is
-  // bound by add_node -- matching the unsharded backends' contract.
+  // bound by add_node -- the same contract as a bare node.
   const auto shards = instances_.size();
   hosts_.reserve(shards);
   for (std::uint32_t k = 0; k < shards; ++k) {
@@ -24,10 +24,10 @@ ShardMux::~ShardMux() = default;
 void ShardMux::on_start() {
   // Fork the per-shard rng streams in shard order (deterministic for a
   // given outer stream regardless of backend), then start instances in
-  // shard order.
-  rngs_.reserve(instances_.size());
-  for (std::uint32_t k = 0; k < instances_.size(); ++k) {
-    rngs_.push_back(ctx().rng().fork());
+  // shard order. One shard keeps the outer stream itself.
+  if (shards() > 1) {
+    rngs_.reserve(shards());
+    for (std::uint32_t k = 0; k < shards(); ++k) rngs_.push_back(ctx().rng().fork());
   }
   for (auto& instance : instances_) instance->on_start();
 }
@@ -42,6 +42,7 @@ void ShardMux::on_message(NodeId from, const Payload& payload) {
 }
 
 void ShardMux::on_timer(runtime::TimerId id) {
+  if (shards() == 1) return instances_.front()->on_timer(id);
   const auto it = timer_shard_.find(id);
   if (it == timer_shard_.end()) return;  // cancelled-vs-fired race or stale id
   const std::uint32_t shard = it->second;

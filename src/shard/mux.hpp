@@ -1,19 +1,23 @@
 #pragma once
 // ShardMux: S independent MultishotNode instances multiplexed over ONE
-// shared runtime Host (DESIGN_PERF.md "Sharding").
+// shared runtime Host (DESIGN_PERF.md "Sharding"). It is the one node shape
+// the tetrabft.hpp facade hosts on every backend; S = 1 is the classic
+// single-chain replica.
 //
 // Every physical host runs one ShardMux; the mux owns one chain instance
 // per shard and gives each a private Host adapter over the outer context:
 //
 //  - outgoing payloads are tagged with their shard index
-//    (Payload::set_route, write-once before publication), and incoming
-//    payloads are dispatched to the instance whose index matches the tag.
-//    An untagged payload (route 0: junk from a Byzantine peer, or traffic
-//    from an unsharded sender) lands on shard 0, where the protocol's
-//    existing malformed-input handling applies; a tag >= S is dropped.
+//    (Payload::set_route, write-once before publication; the socket
+//    transport carries it in a kRouted frame), and incoming payloads are
+//    dispatched to the instance whose index matches the tag. An untagged
+//    payload (route 0: junk from a Byzantine peer, or traffic from an
+//    unsharded sender) lands on shard 0, where the protocol's existing
+//    malformed-input handling applies; a tag >= S is dropped.
 //  - publish_commit rewrites the per-shard slot stream into the composite
 //    `(shard << 48) | slot` stream (shard/router.hpp), so one commit
 //    subscription observes all shards with both coordinates recoverable.
+//    Shard 0's composite stream is the plain slot.
 //  - timers set by instance k map outer TimerId -> k; fires and cancels
 //    route back through that map, so S instances share the outer wheel
 //    without observing each other's timers.
@@ -22,6 +26,10 @@
 //  - metrics() forwards to the outer per-host registry: counters and
 //    histograms aggregate across shards by construction, which is exactly
 //    what cross-shard accounting wants (shard/tracker.hpp).
+//
+// At S = 1 the mux is a pass-through: the lone instance uses the outer
+// rng() itself and its timer ids fire straight through (no fork, no map),
+// so an S = 1 run is byte-identical to hosting the bare MultishotNode.
 //
 // The Host threading contract carries over untouched: the outer host
 // serializes on_start/on_message/on_timer per physical node, so all S
@@ -56,13 +64,12 @@ class ShardMux final : public runtime::ProtocolNode {
   [[nodiscard]] std::uint32_t shards() const noexcept {
     return static_cast<std::uint32_t>(instances_.size());
   }
+  /// Throws std::out_of_range for `shard >= shards()`.
   [[nodiscard]] multishot::MultishotNode& instance(std::uint32_t shard) {
-    assert(shard < instances_.size());
-    return *instances_[shard];
+    return *instances_.at(shard);
   }
   [[nodiscard]] const multishot::MultishotNode& instance(std::uint32_t shard) const {
-    assert(shard < instances_.size());
-    return *instances_[shard];
+    return *instances_.at(shard);
   }
 
   /// Submit a transaction to one shard's chain instance. Same semantics and
@@ -93,11 +100,11 @@ class ShardMux final : public runtime::ProtocolNode {
     }
     runtime::TimerId set_timer(runtime::Duration delay) override {
       const runtime::TimerId id = mux_.ctx().set_timer(delay);
-      mux_.timer_shard_.emplace(id, shard_);
+      if (mux_.shards() > 1) mux_.timer_shard_.emplace(id, shard_);
       return id;
     }
     void cancel_timer(runtime::TimerId id) override {
-      mux_.timer_shard_.erase(id);
+      if (mux_.shards() > 1) mux_.timer_shard_.erase(id);
       mux_.ctx().cancel_timer(id);
     }
     void publish_commit(std::uint64_t stream, Value value,
@@ -105,7 +112,7 @@ class ShardMux final : public runtime::ProtocolNode {
       mux_.ctx().publish_commit(shard_stream(shard_, stream), value, payload);
     }
     MetricsRegistry& metrics() override { return mux_.ctx().metrics(); }
-    Rng& rng() override { return mux_.rngs_[shard_]; }
+    Rng& rng() override { return mux_.rngs_.empty() ? mux_.ctx().rng() : mux_.rngs_[shard_]; }
 
    private:
     // Tag an outgoing payload with this shard. A payload this instance
@@ -122,8 +129,8 @@ class ShardMux final : public runtime::ProtocolNode {
 
   std::vector<std::unique_ptr<multishot::MultishotNode>> instances_;
   std::vector<ShardHost> hosts_;  // parallel to instances_; instances bind here
-  std::vector<Rng> rngs_;         // per-shard streams forked at on_start
-  std::unordered_map<runtime::TimerId, std::uint32_t> timer_shard_;
+  std::vector<Rng> rngs_;         // per-shard streams forked at on_start (S > 1)
+  std::unordered_map<runtime::TimerId, std::uint32_t> timer_shard_;  // S > 1
 };
 
 }  // namespace tbft::shard

@@ -112,30 +112,4 @@ class ShardedTracker final : public workload::TrackerSink {
   std::uint64_t misrouted_commits_{0};
 };
 
-/// SubmitPort that dispatches each request to its tag's home shard -- the
-/// front half of key routing. One RoutedPort stands in front of one
-/// replica; `dispatch(shard, tx)` delivers into that replica's shard
-/// instance (ShardMux::submit under LocalRunner, direct submit_tx in the
-/// sim). Client retries walk replicas, not shards: a retried tag hashes to
-/// the same home shard at every replica, so retry stays within the key's
-/// shard by construction. A non-request transaction (no parseable tag)
-/// goes to shard 0.
-class RoutedPort final : public workload::SubmitPort {
- public:
-  using Dispatch = std::function<bool(std::uint32_t shard, std::vector<std::uint8_t>)>;
-
-  RoutedPort(ShardRouter router, Dispatch dispatch)
-      : router_(router), dispatch_(std::move(dispatch)) {}
-
-  bool submit(std::vector<std::uint8_t> tx) override {
-    const auto tag = workload::parse_request_tag(tx);
-    const std::uint32_t shard = tag ? router_.shard_of(*tag) : 0;
-    return dispatch_(shard, std::move(tx));
-  }
-
- private:
-  ShardRouter router_;
-  Dispatch dispatch_;
-};
-
 }  // namespace tbft::shard

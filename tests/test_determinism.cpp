@@ -12,6 +12,7 @@
 #include "cluster_helpers.hpp"
 #include "ms_cluster_helpers.hpp"
 #include "sim/adversary.hpp"
+#include "tetrabft.hpp"
 #include "workload/scenarios.hpp"
 
 namespace tbft::test {
@@ -168,6 +169,53 @@ TEST(Determinism, PipelinedWorkloadIsDeterministic) {
   flat.adaptive_batch_txs = 0;
   const auto c = workload::run_scenario(flat);
   EXPECT_NE(a.trace_digest, c.trace_digest);
+}
+
+// S = 1 is the unsharded system: build_sim() hosts every replica as a
+// one-shard ShardMux, which passes the outer rng, timers and commit stream
+// straight through. The whole trace must match a hand-built Simulation of
+// bare MultishotNodes from the same config and seed, at depth 1 and 4.
+TEST(Determinism, ShardOneIsByteIdenticalToUnsharded) {
+  constexpr std::uint32_t kNodes = 4;
+  constexpr std::uint32_t kTxs = 48;
+  constexpr sim::SimTime kRun = 3 * sim::kSecond;
+  const auto tx = [](std::uint32_t j) { return workload::encode_request(3, j, 32); };
+  for (const std::uint32_t depth : {1u, 4u}) {
+    ClusterBuilder b;
+    b.nodes(kNodes)
+        .seed(0x5EED)
+        .delta_bound(20 * sim::kMillisecond)
+        .sim_delta_actual(1 * sim::kMillisecond)
+        .batching(4, 4096, 2 * sim::kMillisecond)
+        .pipelining(depth);
+
+    auto muxed = b.build_sim();
+    for (std::uint32_t j = 0; j < kTxs; ++j) ASSERT_TRUE(muxed->submit(j % kNodes, tx(j)));
+    muxed->start();
+    muxed->simulation().run_until(kRun);
+
+    sim::SimConfig sc;
+    sc.seed = 0x5EED;
+    sc.net.delta_bound = 20 * sim::kMillisecond;
+    sc.net.delta_actual = 1 * sim::kMillisecond;
+    sc.net.delta_min = 1 * sim::kMillisecond;
+    sim::Simulation bare(sc);
+    std::vector<multishot::MultishotNode*> nodes;
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      auto node = std::make_unique<multishot::MultishotNode>(b.node_config());
+      nodes.push_back(node.get());
+      bare.add_node(std::move(node));
+    }
+    for (std::uint32_t j = 0; j < kTxs; ++j) ASSERT_TRUE(nodes[j % kNodes]->submit_tx(tx(j)));
+    bare.start();
+    bare.run_until(kRun);
+
+    EXPECT_GE(nodes[0]->finalized_count(), kTxs / 4) << "depth " << depth;
+    const TraceSnapshot a = snapshot(muxed->simulation());
+    const TraceSnapshot c = snapshot(bare);
+    ASSERT_GT(a.decisions.size(), 0u);
+    expect_identical(a, c);
+  }
 }
 
 }  // namespace

@@ -180,7 +180,7 @@ TEST(LargeN, HundredTwentyEightNodeCommitteeCommitsAndAgrees) {
       },
       120 * kSecond);
   ASSERT_TRUE(done) << "n=128 committee did not commit the submitted load";
-  EXPECT_TRUE(multishot::chains_prefix_consistent(cluster->replicas()));
+  EXPECT_TRUE(multishot::chains_prefix_consistent(cluster->shard_instances()));
 }
 
 }  // namespace

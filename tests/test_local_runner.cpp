@@ -61,7 +61,7 @@ TEST(LocalRunner, CommitsIdenticalChainToSimulation) {
   std::map<NodeId, std::uint64_t> last_stream;  // guarded by the cluster's commit lock
   local->on_commit([&](const runtime::Commit& c) { last_stream[c.node] = c.stream; });
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    local->node(j % kNodes).submit(tx_bytes(j));  // pre-start: seeds mempools
+    local->submit(j % kNodes, tx_bytes(j));  // pre-start: seeds mempools
   }
   local->start();
   const bool all_done = local->wait_for(
@@ -118,7 +118,7 @@ TEST(LocalRunner, ClockSkewedNodesStayConsistentAndLive) {
   std::map<NodeId, std::uint64_t> last_stream;
   local->on_commit([&](const runtime::Commit& c) { last_stream[c.node] = c.stream; });
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    local->node(j % kNodes).submit(tx_bytes(j));
+    local->submit(j % kNodes, tx_bytes(j));
   }
   local->start();
   const bool all_done = local->wait_for(
@@ -141,7 +141,7 @@ TEST(LocalRunner, ClockSkewedNodesStayConsistentAndLive) {
 
 TEST(LocalRunner, StopIsIdempotentAndStopsQuiescentCluster) {
   auto local = equivalence_builder().build_local();
-  local->node(0).submit(tx_bytes(0));
+  local->submit(0, tx_bytes(0));
   local->start();
   EXPECT_TRUE(local->runner().running());
   local->stop();

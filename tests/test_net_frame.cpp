@@ -74,6 +74,61 @@ TEST(FrameCodec, RoundTripsFramesAcrossEveryChunkSize) {
   }
 }
 
+/// A data frame as the socket host writes it: put_data_header + message.
+std::vector<std::uint8_t> encode_data(std::uint32_t route,
+                                      const std::vector<std::uint8_t>& message) {
+  std::vector<std::uint8_t> out(kMaxDataHeaderBytes);
+  out.resize(put_data_header(out.data(), route, static_cast<std::uint32_t>(message.size())));
+  out.insert(out.end(), message.begin(), message.end());
+  return out;
+}
+
+TEST(FrameCodec, RoutedDataFramesRoundTripAcrossEveryChunkSize) {
+  const std::vector<std::uint8_t> m1{7, 7, 7};
+  std::vector<std::uint8_t> m2(200);
+  for (std::size_t i = 0; i < m2.size(); ++i) m2[i] = static_cast<std::uint8_t>(i * 13);
+  // Route 0 is elided: byte-identical to an unrouted kData frame.
+  EXPECT_EQ(encode_data(0, m1), encode_frame(FrameKind::kData, m1));
+
+  const std::uint32_t routes[] = {1, 127, 128, 300, 0xFFFFFFFFu};
+  std::vector<std::uint8_t> stream;
+  for (const std::uint32_t r : routes) {
+    const auto f = encode_data(r, r % 2 == 0 ? m2 : m1);
+    stream.insert(stream.end(), f.begin(), f.end());
+  }
+  EXPECT_EQ(encode_data(0xFFFFFFFFu, m1).size(), kMaxDataHeaderBytes + m1.size());
+  for (std::size_t chunk = 1; chunk <= stream.size(); ++chunk) {
+    FeedResult res = feed_chunked(stream, chunk);
+    ASSERT_TRUE(res.ok) << "chunk " << chunk;
+    ASSERT_EQ(res.frames.size(), std::size(routes)) << "chunk " << chunk;
+    for (std::size_t i = 0; i < std::size(routes); ++i) {
+      auto& [kind, body] = res.frames[i];
+      EXPECT_EQ(kind, FrameKind::kRouted);
+      std::uint32_t route = 0;
+      ASSERT_TRUE(take_route(body, route)) << "chunk " << chunk << " frame " << i;
+      EXPECT_EQ(route, routes[i]);
+      EXPECT_EQ(body, routes[i] % 2 == 0 ? m2 : m1);
+    }
+    EXPECT_EQ(res.counters.dropped_truncated, 0u);
+  }
+}
+
+TEST(FrameCodec, MalformedRouteVarintsAreRejected) {
+  std::uint32_t route = 0;
+  std::vector<std::uint8_t> empty;
+  EXPECT_FALSE(take_route(empty, route));
+  std::vector<std::uint8_t> truncated{0x80, 0x80};  // continuation, then nothing
+  EXPECT_FALSE(take_route(truncated, route));
+  std::vector<std::uint8_t> overlong{0x81, 0x80, 0x80, 0x80, 0x80, 0x01, 9};  // 6 bytes
+  EXPECT_FALSE(take_route(overlong, route));
+  std::vector<std::uint8_t> too_big{0xFF, 0xFF, 0xFF, 0xFF, 0x1F, 9};  // 2^36 - 1
+  EXPECT_FALSE(take_route(too_big, route));
+  std::vector<std::uint8_t> max{0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 9};  // 2^32 - 1
+  ASSERT_TRUE(take_route(max, route));
+  EXPECT_EQ(route, 0xFFFFFFFFu);
+  EXPECT_EQ(max, std::vector<std::uint8_t>{9});
+}
+
 TEST(FrameCodec, OversizedLengthPrefixPoisonsTheStream) {
   FrameDecoder::Limits limits;
   limits.max_payload_bytes = 64;

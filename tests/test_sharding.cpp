@@ -3,7 +3,7 @@
 // stream keying, the S=4 cross-backend equivalence suite (the same routed
 // workload committed through the deterministic Simulation and the threaded
 // LocalRunner yields identical per-shard chains), cross-shard exactly-once
-// accounting under generated load, the facade's sharded-builder guards, and
+// accounting under generated load, the facade's shard/replica bounds checks, and
 // the n=64-per-shard configuration the large-n sizing fixes enable.
 
 #include <gtest/gtest.h>
@@ -83,7 +83,7 @@ TEST(Sharding, SimVsLocalRunnerCommitIdenticalChainsPerShard) {
   // is finalized in its home shard on every replica.
 
   // --- Simulation side -----------------------------------------------------
-  auto sim_cluster = sharded_builder().build_sharded_sim();
+  auto sim_cluster = sharded_builder().build_sim();
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
     ASSERT_TRUE(sim_cluster->submit(j % kNodes, routed_tx(j)));
   }
@@ -102,7 +102,7 @@ TEST(Sharding, SimVsLocalRunnerCommitIdenticalChainsPerShard) {
   ASSERT_TRUE(sim_done) << "sim shards did not finalize every routed tx";
 
   // --- LocalRunner side ----------------------------------------------------
-  auto local = sharded_builder().build_sharded_local();
+  auto local = sharded_builder().build_local();
   // Committed request tags per (node, shard), recovered from the commit
   // payloads on the composite stream; guarded by the cluster's commit lock
   // (on_commit callbacks and wait_for predicates both run under it).
@@ -114,7 +114,7 @@ TEST(Sharding, SimVsLocalRunnerCommitIdenticalChainsPerShard) {
     }
   });
   for (std::uint32_t j = 0; j < kTxCount; ++j) {
-    local->node(j % kNodes).submit(routed_tx(j));  // pre-start: seeds mempools
+    local->submit(j % kNodes, routed_tx(j));  // pre-start: seeds mempools
   }
   local->start();
   const bool all_done = local->wait_for(
@@ -174,7 +174,7 @@ TEST(Sharding, GeneratedLoadIsExactlyOnceAcrossShards) {
                      .seed(11)
                      .delta_bound(10 * kMillisecond)
                      .batching(16, 4096)
-                     .build_sharded_sim();
+                     .build_sim();
   shard::ShardedTracker tracker(cluster->simulation().metrics(), kShards);
   for (NodeId i = 0; i < kNodes; ++i) {
     for (std::uint32_t k = 0; k < kShards; ++k) {
@@ -255,7 +255,7 @@ TEST(Sharding, TrackerRoutesSubmissionsToHomeShardBooks) {
 }
 
 TEST(Sharding, NonRequestBytesRouteToShardZero) {
-  auto cluster = sharded_builder().build_sharded_sim();
+  auto cluster = sharded_builder().build_sim();
   // Raw (non-request) bytes have no tag: the routed port parks them on
   // shard 0, so legacy byte-blob workloads keep working unsharded.
   EXPECT_TRUE(cluster->port(1).submit({'r', 'a', 'w', 0x01}));
@@ -268,17 +268,26 @@ TEST(Sharding, NonRequestBytesRouteToShardZero) {
 TEST(Sharding, BuilderGuardsShardCountAndBackendMismatch) {
   EXPECT_THROW(ClusterBuilder{}.shards(0), std::invalid_argument);
   EXPECT_THROW(ClusterBuilder{}.shards(2000), std::invalid_argument);
-  EXPECT_THROW(ClusterBuilder{}.shards(2).build_local(), std::logic_error);
-  EXPECT_THROW(ClusterBuilder{}.shards(2).build_sim(), std::logic_error);
-  EXPECT_THROW(ClusterBuilder{}.shards(2).build_socket(), std::logic_error);
-  EXPECT_THROW(ClusterBuilder{}.shards(2).build_socket_node(0), std::logic_error);
-  // S = 1 sharded clusters are legal (one mux-wrapped chain)...
-  auto single = ClusterBuilder{}.shards(1).build_sharded_sim();
+  // S = 1 clusters are one mux-wrapped chain...
+  auto single = ClusterBuilder{}.shards(1).build_sim();
   EXPECT_EQ(single->shards(), 1u);
   EXPECT_TRUE(single->submit(0, routed_tx(0)));
-  // ...and out-of-range instance access throws instead of corrupting.
-  EXPECT_THROW(ClusterBuilder{}.shards(2).build_sharded_local()->node(99),
-               std::out_of_range);
+  // ...and out-of-range replica or shard access throws instead of reading
+  // out of bounds, on every facade type.
+  auto sim = ClusterBuilder{}.shards(2).build_sim();
+  EXPECT_THROW((void)sim->instance(99, 0), std::out_of_range);
+  EXPECT_THROW((void)sim->instance(0, 2), std::out_of_range);
+  EXPECT_THROW((void)sim->instance(0, 99), std::out_of_range);
+  EXPECT_THROW((void)sim->shard_instances(2), std::out_of_range);
+  EXPECT_THROW((void)single->instance(0, 1), std::out_of_range);
+  auto local = ClusterBuilder{}.shards(2).build_local();
+  EXPECT_THROW((void)local->instance(99, 0), std::out_of_range);
+  EXPECT_THROW((void)local->instance(0, 2), std::out_of_range);
+  EXPECT_THROW((void)local->shard_instances(7), std::out_of_range);
+  EXPECT_THROW(local->submit(99, routed_tx(0)), std::out_of_range);
+  auto node = ClusterBuilder{}.shards(2).build_socket_node(0);
+  EXPECT_EQ(node->shards(), 2u);
+  EXPECT_THROW((void)node->instance(2), std::out_of_range);
 }
 
 // The n = 64-per-shard configuration (f = 21): the f-scaled claim and
@@ -293,7 +302,7 @@ TEST(Sharding, LargeCommitteePerShardCommitsRoutedLoad) {
                      .delta_bound(50 * kMillisecond)
                      .sim_delta_actual(1 * kMillisecond)
                      .batching(4, 4096)
-                     .build_sharded_sim();
+                     .build_sim();
   const shard::ShardRouter router(2);
   std::vector<std::uint32_t> txs_in_shard(2, 0);
   constexpr std::uint32_t kBigTx = 8;

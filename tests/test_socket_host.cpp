@@ -1,7 +1,8 @@
-// SocketHost transport behavior (ISSUE 7): reconnect with capped backoff
-// against a flapping peer, bounded outbound queues that drain across
-// reconnects or drop-and-count, junk floods from strangers that never reach
-// the node, and half-open peers dropped by the ping/pong liveness layer.
+// SocketHost transport behavior: reconnect with capped backoff against a
+// flapping peer, bounded outbound queues that drain across reconnects or
+// drop-and-count, junk floods from strangers that never reach the node,
+// shard routes carried by kRouted frames, and half-open peers dropped by the
+// ping/pong liveness layer.
 // The scripted side of each scenario is a raw TCP socket driven by the test
 // -- not another SocketHost -- so kills, silences and garbage are exact.
 
@@ -11,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "runtime/socket_host.hpp"
+#include "shard/mux.hpp"
 
 namespace tbft::runtime {
 namespace {
@@ -454,6 +457,90 @@ TEST(SocketHost, GarbageAndInvalidHellosAreCountedAndDropped) {
   }
   host.stop();
   EXPECT_EQ(host.net_stats().handshakes.load(), 1u);
+}
+
+// ---- shard routes on the wire ----------------------------------------------
+
+/// A chain instance that only counts what the mux dispatches to it.
+struct CountingInstance final : multishot::MultishotNode {
+  CountingInstance() : MultishotNode(config()) {}
+  static multishot::MultishotConfig config() {
+    multishot::MultishotConfig cfg;
+    cfg.n = 2;
+    cfg.f = 0;
+    return cfg;
+  }
+  void on_start() override {}
+  void on_message(NodeId, const Payload&) override { seen.fetch_add(1); }
+  std::atomic<int> seen{0};
+};
+
+std::vector<std::uint8_t> routed(std::span<const std::uint8_t> route_varint,
+                                 std::vector<std::uint8_t> message) {
+  message.insert(message.begin(), route_varint.begin(), route_varint.end());
+  return framed(net::FrameKind::kRouted, message);
+}
+
+TEST(SocketHost, RoutedFramesReachTheirShardAndMalformedRoutesDropTheConnection) {
+  std::vector<std::unique_ptr<multishot::MultishotNode>> instances;
+  instances.push_back(std::make_unique<CountingInstance>());
+  instances.push_back(std::make_unique<CountingInstance>());
+  auto& shard0 = static_cast<CountingInstance&>(*instances[0]);
+  auto& shard1 = static_cast<CountingInstance&>(*instances[1]);
+  SocketHost host(host_cfg(0, 2), std::make_unique<shard::ShardMux>(std::move(instances)));
+  host.start();
+  const NetStats& s = host.net_stats();
+
+  {
+    RawPeer peer = connect_to(host.port());
+    ASSERT_TRUE(peer.valid());
+    ASSERT_TRUE(peer.send_all(hello_frame(/*node=*/1, /*n=*/2)));
+    ASSERT_TRUE(peer.next_frame().has_value());  // host's hello
+
+    // Outbound: a payload routed to shard 300 leaves as a kRouted frame.
+    host.post([&host] {
+      Payload p{1, 2};
+      p.set_route(300);
+      host.send(1, std::move(p));
+    });
+    auto out = peer.next_frame();
+    ASSERT_TRUE(out.has_value());
+    ASSERT_EQ(out->first, net::FrameKind::kRouted);
+    std::uint32_t route = 0;
+    ASSERT_TRUE(net::take_route(out->second, route));
+    EXPECT_EQ(route, 300u);
+    EXPECT_EQ(out->second, (std::vector<std::uint8_t>{1, 2}));
+
+    // Inbound: kData lands on shard 0, kRouted on its shard, and a route
+    // >= S reaches no instance (the trailing frame orders the check).
+    const std::uint8_t r1[] = {1};
+    const std::uint8_t r5[] = {5};
+    ASSERT_TRUE(peer.send_all(framed(net::FrameKind::kData, std::vector<std::uint8_t>{42})));
+    ASSERT_TRUE(peer.send_all(routed(r1, {43})));
+    ASSERT_TRUE(peer.send_all(routed(r5, {44})));
+    ASSERT_TRUE(peer.send_all(routed(r1, {45})));
+    ASSERT_TRUE(eventually([&] { return shard1.seen.load() == 2; }));
+    EXPECT_EQ(shard0.seen.load(), 1);
+    EXPECT_EQ(s.frames_rx.load(), 4u);
+
+    // A truncated route varint is junk: counted, connection dropped.
+    const std::uint8_t dangling[] = {0x80};
+    ASSERT_TRUE(peer.send_all(routed(dangling, {})));
+    EXPECT_TRUE(peer.wait_eof());
+  }
+  {
+    // So is an overlong one (six bytes for a u32).
+    RawPeer peer = connect_to(host.port());
+    ASSERT_TRUE(peer.valid());
+    ASSERT_TRUE(peer.send_all(hello_frame(1, 2)));
+    ASSERT_TRUE(peer.next_frame().has_value());
+    const std::uint8_t overlong[] = {0x81, 0x80, 0x80, 0x80, 0x80, 0x00};
+    ASSERT_TRUE(peer.send_all(routed(overlong, {46})));
+    EXPECT_TRUE(peer.wait_eof());
+  }
+  host.stop();
+  EXPECT_EQ(s.rx_junk.load(), 2u);
+  EXPECT_EQ(shard0.seen.load() + shard1.seen.load(), 3);
 }
 
 // ---- half-open detection ---------------------------------------------------
