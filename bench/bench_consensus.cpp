@@ -72,7 +72,7 @@ class FlatHarness {
   void run_slot(Slot s) {
     Block b = make_block(s, parent_);
     const std::uint64_t h = b.hash();
-    chain_.add_block(b);
+    chain_.add_block(b, b.hash());
     SlotVotes* st = slots_.ensure(s);
     st->proposal_by_view.try_emplace(0, h);
     ++ops_;

@@ -71,7 +71,7 @@ MemoryResult run_memory(std::uint64_t slots) {
     Block b{s, parent, static_cast<NodeId>(s % 4), {0, 0, 0, 0, 0, 0, 0, 0}};
     parent = b.hash();
     naive += sizeof(Block) + b.payload.size();
-    chain.add_block(b);
+    chain.add_block(b, b.hash());
     chain.notarize(s, 0, b.hash());
     chain.try_finalize();
     if (s == slots / 2) res.resident_mid = chain.finalized().resident_bytes();
@@ -125,7 +125,7 @@ IndexResult run_index(std::size_t blocks, std::size_t txs_per_block) {
     Block b{s, parent, 0, w.take()};
     parent = b.hash();
     flat.push_back(b);
-    store.append(std::move(b));
+    store.append(std::move(b), parent);
   }
 
   IndexResult res;
@@ -368,7 +368,7 @@ IndexMemResult run_index_memory(std::uint64_t slots) {
     w.bytes(tx);
     Block b{s, parent, static_cast<NodeId>(s % 4), w.take()};
     parent = b.hash();
-    chain.add_block(b);
+    chain.add_block(b, b.hash());
     chain.notarize(s, 0, b.hash());
     chain.try_finalize();
     if (s == slots / 2) res.resident_mid = chain.finalized().resident_bytes();

@@ -52,8 +52,10 @@ class ChainStore {
   /// slot is outside the acceptance window (finalized or too far ahead).
   /// A slot holds at most kMaxCandidatesPerSlot distinct candidates; at the
   /// bound the oldest non-notarized candidate is displaced (the slot stays
-  /// live under Byzantine re-proposal floods).
-  bool add_block(const Block& b);
+  /// live under Byzantine re-proposal floods). `h` is the caller's b.hash(),
+  /// computed once when the block was proposed or received; the chain
+  /// carries it from here to the finalized store and never rehashes.
+  bool add_block(const Block& b, std::uint64_t h);
 
   [[nodiscard]] const Block* find_block(Slot slot, std::uint64_t hash) const;
 
@@ -74,8 +76,8 @@ class ChainStore {
 
   /// Adopt a finalized block learned through f+1 matching claims; must
   /// extend the current finalized tip at the first unfinalized slot.
-  /// Returns false (and does nothing) otherwise.
-  bool force_finalize(const Block& b);
+  /// Returns false (and does nothing) otherwise. `h` is the caller's b.hash().
+  bool force_finalize(const Block& b, std::uint64_t h);
 
   [[nodiscard]] std::optional<Notarization> notarized(Slot slot) const;
 
@@ -89,11 +91,12 @@ class ChainStore {
 
   /// Invoked once per newly finalized block, in slot order, on BOTH
   /// finalization paths (rule and adoption), before the block can be
-  /// compacted out of the tail. The multishot node routes its
-  /// decision/mempool/commit bookkeeping through this.
-  void set_on_finalized(std::function<void(const Block&)> hook) {
-    on_finalized_ = std::move(hook);
-  }
+  /// compacted out of the tail, with the block's content hash. The
+  /// multishot node routes its decision/mempool/commit bookkeeping through
+  /// this; finalized().tip_frames() holds the block's frame digests while
+  /// the hook runs.
+  using FinalizedHook = std::function<void(const Block&, std::uint64_t)>;
+  void set_on_finalized(FinalizedHook hook) { on_finalized_ = std::move(hook); }
 
   // --- Tail-aware finalized-side accessors (FinalizedStore passthrough) ---
   /// Number of finalized slots == tip slot (the former finalized_chain().size()).
@@ -102,6 +105,11 @@ class ChainStore {
   /// compacted past the tail.
   [[nodiscard]] const Block* block_at(Slot slot) const noexcept {
     return store_.block_at(slot);
+  }
+  /// Hash of the resident finalized block for `slot` (nullopt when
+  /// block_at(slot) is nullptr).
+  [[nodiscard]] std::optional<std::uint64_t> finalized_hash_at(Slot slot) const noexcept {
+    return store_.hash_at(slot);
   }
   [[nodiscard]] Slot tail_first() const noexcept { return store_.tail_first(); }
   [[nodiscard]] const Checkpoint& checkpoint() const noexcept { return store_.checkpoint(); }
@@ -225,7 +233,7 @@ class ChainStore {
 
   SlotWindow<SlotEntry> window_;   // unfinalized candidate/notarization state
   FinalizedStore store_;           // bounded tail + checkpoint + commit index
-  std::function<void(const Block&)> on_finalized_;
+  FinalizedHook on_finalized_;
 };
 
 }  // namespace tbft::multishot

@@ -25,12 +25,23 @@
 //    slot + 1; resident block count == tip - checkpoint.slot <= capacity;
 //  - prefix_digest(s) (cumulative chain hash through slot s) is available
 //    for any s in [checkpoint.slot, tip] and equal across consistent chains;
+//  - no resident block is ever rehashed: append() takes the caller's hash
+//    (computed when the block was proposed or admitted) as the new tip
+//    hash, and the tail is parent-linked (asserted at append), so every
+//    other resident block's hash is already stored as its successor's
+//    parent_hash (hash_at). Compaction, prefix_digest and checkpoint_at read
+//    hashes from there. append() also digests each transaction frame once,
+//    for the commit index, and keeps those (digest, frame) pairs for the
+//    tip block (tip_frames) so the node's delivery filter and mempool
+//    reconciliation reuse them;
 //  - append() is allocation-free in steady state for filler payloads: the
-//    ring is sized up front, checkpoint folding is arithmetic, and the index
-//    only grows with committed transactions (inherent commit data, amortized
-//    doubling; O(committed txs) forever is the accepted cost of answering
-//    commit queries for compacted history -- bounding it too, via epoch
-//    segmentation, is a ROADMAP follow-on). bench_consensus keeps asserting
+//    ring's capacity is reserved up front (address space only -- cells are
+//    built as slots arrive, so a fresh store touches no ring pages and
+//    block pointers stay stable), checkpoint folding is arithmetic, and the
+//    index only grows with committed transactions (inherent commit data,
+//    amortized doubling; O(committed txs) forever is the accepted cost of
+//    answering commit queries for compacted history -- bounding it too, via
+//    epoch segmentation, is a ROADMAP follow-on). bench_consensus keeps asserting
 //    the zero-alloc contract; bench_storage's bounded-memory gate measures
 //    the block side (frameless payloads), where O(tail) is exact.
 //
@@ -42,6 +53,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -379,6 +391,13 @@ class CommitIndex {
   std::optional<EpochBloom> ancient_;
 };
 
+/// One transaction frame of the tip block and its fnv1a64 digest, as the
+/// commit index received it (FinalizedStore::tip_frames).
+struct FrameDigest {
+  std::uint64_t digest{0};
+  std::span<const std::uint8_t> frame;
+};
+
 class FinalizedStore {
  public:
   /// Default tail: long enough that ChainInfo answering, range-sync serving
@@ -391,14 +410,16 @@ class FinalizedStore {
   /// epoch boundary, the entries of that epoch rotate into a bloom.
   explicit FinalizedStore(std::size_t tail_capacity = kDefaultTailCapacity,
                           Slot commit_epoch_slots = 0)
-      : cap_(tail_capacity), ring_(tail_capacity), epoch_slots_(commit_epoch_slots) {
+      : cap_(tail_capacity), epoch_slots_(commit_epoch_slots) {
     TBFT_ASSERT(tail_capacity >= 8);  // finalization bursts notify before compaction
+    ring_.reserve(cap_);
   }
 
-  /// Append the next finalized block (must be tip+1; linkage is the caller's
-  /// contract -- ChainStore checks it). Compacts the oldest resident block
-  /// into the checkpoint when the tail is full.
-  void append(Block&& b);
+  /// Append the next finalized block: must be tip+1 and link to tip_hash()
+  /// (asserted; ChainStore checks linkage before it gets here). `h` is the
+  /// caller's b.hash(). Compacts the oldest resident block into the
+  /// checkpoint when the tail is full.
+  void append(Block&& b, std::uint64_t h);
 
   /// Total finalized slots == tip slot (0 = empty chain).
   [[nodiscard]] Slot tip() const noexcept { return tip_; }
@@ -411,7 +432,21 @@ class FinalizedStore {
   /// compacted past the tail.
   [[nodiscard]] const Block* block_at(Slot s) const noexcept {
     if (s < tail_first() || s > tip_) return nullptr;
-    return &ring_[slot_index(s, Slot{1}) % cap_];
+    return &cell(s);
+  }
+
+  /// Content hash of the resident finalized block at `s` (nullopt exactly
+  /// when block_at(s) is nullptr), without rehashing it.
+  [[nodiscard]] std::optional<std::uint64_t> hash_at(Slot s) const noexcept {
+    if (s < tail_first() || s > tip_) return std::nullopt;
+    return resident_hash(s);
+  }
+
+  /// (digest, frame) pairs of the tip block's transaction frames, in payload
+  /// order, as inserted into the commit index. Valid until the next append,
+  /// restore or install_checkpoint.
+  [[nodiscard]] std::span<const FrameDigest> tip_frames() const noexcept {
+    return tip_frames_;
   }
 
   [[nodiscard]] const Checkpoint& checkpoint() const noexcept { return checkpoint_; }
@@ -447,9 +482,7 @@ class FinalizedStore {
   /// replay then appends the surviving tail blocks. Pre-start only.
   void restore(const Checkpoint& cp) {
     TBFT_ASSERT(tip_ == 0);
-    checkpoint_ = cp;
-    tip_ = cp.slot;
-    tip_hash_ = cp.boundary_hash;
+    reset_tail(cp);
   }
 
   /// Adopt a vouched remote checkpoint that is AHEAD of this store's tip
@@ -460,10 +493,7 @@ class FinalizedStore {
   /// ahead of the current tip.
   bool install_checkpoint(const Checkpoint& cp) {
     if (cp.slot <= tip_) return false;
-    ring_.assign(cap_, Block{});
-    checkpoint_ = cp;
-    tip_ = cp.slot;
-    tip_hash_ = cp.boundary_hash;
+    reset_tail(cp);
     return true;
   }
 
@@ -481,21 +511,48 @@ class FinalizedStore {
   void encode_commit_state(serde::Writer& w) const { encode_commit_state(w, checkpoint_.slot); }
   bool install_commit_state(serde::Reader& r) { return index_.install(r); }
 
-  /// Bytes held live by the store: ring block headers + payload capacities +
+  /// Bytes held live by the store: built ring cells + payload capacities +
   /// index table and blooms (bench_storage's bounded-memory figure).
+  /// Reserved but unbuilt ring cells are untouched address space, and
+  /// tip_frames() is reused scratch (views into resident payloads, at most
+  /// one block's frames); neither counts.
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
   [[nodiscard]] std::size_t tail_capacity() const noexcept { return cap_; }
   [[nodiscard]] Slot commit_epoch_slots() const noexcept { return epoch_slots_; }
 
  private:
+  [[nodiscard]] Block& cell(Slot s) noexcept { return ring_[slot_index(s, base_) % cap_]; }
+  [[nodiscard]] const Block& cell(Slot s) const noexcept {
+    return ring_[slot_index(s, base_) % cap_];
+  }
+
+  /// Hash of resident slot `s`: the tip's is tip_hash_; any other's is the
+  /// parent_hash of the block after it (the tail is parent-linked).
+  [[nodiscard]] std::uint64_t resident_hash(Slot s) const noexcept {
+    return s == tip_ ? tip_hash_ : cell(s + 1).parent_hash;
+  }
+
+  /// Empty the tail onto `cp`: the ring restarts at cp.slot + 1. Cells are
+  /// destroyed (their payloads freed); the reserved capacity stays.
+  void reset_tail(const Checkpoint& cp) {
+    ring_.clear();
+    tip_frames_.clear();
+    base_ = cp.slot + 1;
+    checkpoint_ = cp;
+    tip_ = cp.slot;
+    tip_hash_ = cp.boundary_hash;
+  }
+
   std::size_t cap_;
-  std::vector<Block> ring_;  // index = (slot - 1) % cap_
+  std::vector<Block> ring_;  // index = (slot - base_) % cap_; grows to cap_
+  Slot base_{1};             // first slot of the ring since the last reset
   Slot epoch_slots_{0};      // 0 = commit-index epoch rotation off
   Slot tip_{0};
   std::uint64_t tip_hash_{kGenesisHash};
   Checkpoint checkpoint_{};
   CommitIndex index_;
+  std::vector<FrameDigest> tip_frames_;  // high-water storage, see tip_frames()
 };
 
 }  // namespace tbft::multishot

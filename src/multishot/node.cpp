@@ -26,6 +26,16 @@ struct FrameIndex {
   explicit FrameIndex(const std::vector<std::span<const std::uint8_t>>& frames) {
     keyed.reserve(frames.size());
     for (const auto& f : frames) keyed.emplace_back(fnv1a64(f), f);
+    sort();
+  }
+  /// From digests the finalized store already computed (no rehashing).
+  explicit FrameIndex(std::span<const FrameDigest> frames) {
+    keyed.reserve(frames.size());
+    for (const FrameDigest& f : frames) keyed.emplace_back(f.digest, f.frame);
+    sort();
+  }
+
+  void sort() {
     std::sort(keyed.begin(), keyed.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
   }
@@ -86,7 +96,7 @@ MultishotNode::MultishotNode(MultishotConfig cfg)
       mempool_(cfg.mempool_capacity, cfg.mempool_policy) {
   // Both finalization paths (depth-4 rule and claim adoption) notify through
   // this one hook, before the block can be compacted out of the tail.
-  chain_.set_on_finalized([this](const Block& b) { note_finalized(b); });
+  chain_.set_on_finalized([this](const Block& b, std::uint64_t h) { note_finalized(b, h); });
 }
 
 void MultishotNode::on_start() {
@@ -416,6 +426,7 @@ void MultishotNode::try_propose(Slot s) {
   if (!parent) return;
 
   Block block;
+  std::uint64_t h = 0;  // block.hash(), computed once below
   if (st->view == 0) {
     // Idle-chain suppression (unbounded chains): a filler block that no
     // pending work needs is never proposed -- submissions wake the frontier.
@@ -428,6 +439,7 @@ void MultishotNode::try_propose(Slot s) {
     BatchDraft draft = build_batch(0);
     const std::size_t payload_bytes = draft.payload.size();
     block = Block{s, *parent, ctx().id(), std::move(draft.payload)};
+    h = block.hash();
     commit_batch(draft, s, payload_bytes);
   } else {
     // Rule 1 over this slot's suggest messages. The leader's "initial
@@ -443,22 +455,27 @@ void MultishotNode::try_propose(Slot s) {
       }
     }
     std::optional<Block> preferred;
+    std::uint64_t preferred_hash = 0;
     BatchDraft draft;
     bool fresh = false;
     if (const auto nt = chain_.notarized(s)) {
       if (const Block* nb = chain_.find_block(s, nt->hash);
           nb != nullptr && nb->parent_hash == *parent) {
         preferred = *nb;
+        preferred_hash = nt->hash;
       }
     }
     if (!preferred) {
       draft = build_batch(st->view);
       preferred = Block{s, *parent, ctx().id(), std::move(draft.payload)};
+      preferred_hash = preferred->hash();
       fresh = true;
     }
-    const auto val = core::leader_find_safe_value(qp_, st->view, preferred->value(), suggests);
+    const auto val =
+        core::leader_find_safe_value(qp_, st->view, Value{preferred_hash}, suggests);
     if (!val) return;
-    if (val->id == preferred->hash()) {
+    h = val->id;
+    if (val->id == preferred_hash) {
       // Mark the batch only when the fresh block is actually proposed; a
       // Rule-1-forced value discards the draft at no cost.
       if (fresh) commit_batch(draft, s, preferred->payload.size());
@@ -478,15 +495,15 @@ void MultishotNode::try_propose(Slot s) {
   }
 
   st->proposed = true;
-  st->self_hash = block.hash();
+  st->self_hash = h;
   st->self_view = st->view;
-  chain_.add_block(block);
+  chain_.add_block(block, h);
   // The proposal is the leader's implicit vote for its own slot (paper
   // §6.1): record vote-1 locally; the broadcast is counted by receivers.
-  if (st->voted.try_emplace(st->view, block.hash())) {
+  if (st->voted.try_emplace(st->view, h)) {
     const auto& high = st->record.highest(1);
     if (!high.present() || st->view > high.view) {
-      st->record.record(1, st->view, block.value());
+      st->record.record(1, st->view, Value{h});
     }
   }
   do_propose(s, st->view, block);
@@ -553,22 +570,25 @@ void MultishotNode::try_vote(Slot s) {
   }
 
   st->voted.try_emplace(st->view, h);
-  record_vote_effects(s, st->view, *b);
+  record_vote_effects(s, st->view, *b, h);
   broadcast_ms(MsVote{s, st->view, h});
 }
 
-void MultishotNode::record_vote_effects(Slot s, View v, const Block& head) {
+void MultishotNode::record_vote_effects(Slot s, View v, const Block& head,
+                                        std::uint64_t head_hash) {
   // A head vote for slot s is vote-1 for s and implicitly vote-k for slot
   // s-k+1 along the parent chain (Fig. 2); phases are preserved in local
-  // memory for future suggest/proof messages.
+  // memory for future suggest/proof messages. Every block on the walk is
+  // found by its hash (the child's parent_hash), so nothing is rehashed.
   const Block* b = &head;
+  std::uint64_t h = head_hash;
   for (int phase = 1; phase <= 4; ++phase) {
     const Slot target = s - static_cast<Slot>(phase - 1);
     if (target < 1 || s < static_cast<Slot>(phase - 1)) break;
     if (SlotState* ts = slot_state(target, false); ts != nullptr) {
       const auto& high = ts->record.highest(phase);
       if (!high.present() || v > high.view) {
-        ts->record.record(phase, v, b->value());
+        ts->record.record(phase, v, Value{h});
       }
     }
     if (phase == 4 || target == 1) break;
@@ -576,13 +596,13 @@ void MultishotNode::record_vote_effects(Slot s, View v, const Block& head) {
     const Block* pb = chain_.find_block(parent_slot, b->parent_hash);
     if (pb == nullptr) {
       // A compacted ancestor (block_at == nullptr) is content-unknown too.
-      const Block* fb = chain_.block_at(parent_slot);
-      if (fb != nullptr && fb->hash() == b->parent_hash) {
-        pb = fb;
+      if (chain_.finalized_hash_at(parent_slot) == b->parent_hash) {
+        pb = chain_.block_at(parent_slot);
       } else {
         break;  // ancestor content unknown; skip deeper phases
       }
     }
+    h = b->parent_hash;
     b = pb;
   }
 }
@@ -648,7 +668,11 @@ void MultishotNode::finalize_progress() {
   if (chain_.try_finalize() > 0) prune_slots();
 }
 
-void MultishotNode::note_finalized(const Block& b) {
+void MultishotNode::note_finalized(const Block& b, std::uint64_t h) {
+  // The finalized store digested this block's frames once, for the commit
+  // index; reuse them below. Read them before publishing: a re-entrant
+  // commit sink may drive the chain further.
+  const std::span<const FrameDigest> frames = chain_.finalized().tip_frames();
   // Durability FIRST: the WAL record (and any due checkpoint) must be on
   // its way to disk before the commit is published or acknowledged -- a
   // crash right after the ack must recover the block.
@@ -662,27 +686,28 @@ void MultishotNode::note_finalized(const Block& b) {
   // since every node filters the same chain prefix against the same commit
   // index. The common path (no duplicate) publishes the payload untouched.
   std::optional<Block> dedup;
-  for (const auto f : payload_frames(b.payload)) {
-    if (!chain_.committed_before(f, fnv1a64(f), b.slot)) continue;
+  for (const FrameDigest& f : frames) {
+    if (!chain_.committed_before(f.frame, f.digest, b.slot)) continue;
     ctx().metrics().counter("multishot.delivery.filtered_dup").add();
     serde::Reader r(b.payload);
     serde::Writer w;
     w.varint(r.varint());  // view nonce survives verbatim
-    for (const auto keep : payload_frames(b.payload)) {
-      if (!chain_.committed_before(keep, fnv1a64(keep), b.slot)) w.bytes(keep);
+    for (const FrameDigest& keep : frames) {
+      if (!chain_.committed_before(keep.frame, keep.digest, b.slot)) w.bytes(keep.frame);
     }
     auto filtered = w.take();
     filtered.resize(b.payload.size(), 0);  // zero padding parses as filler
     dedup = Block{b.slot, b.parent_hash, b.proposer, std::move(filtered)};
     break;
   }
+  // Mempool reconciliation index, built while `frames` is still this block's.
+  const FrameIndex index(frames);
   const Block& delivered = dedup ? *dedup : b;
-  ctx().publish_commit(b.slot, b.value(), delivered.payload);
+  ctx().publish_commit(b.slot, Value{h}, delivered.payload);
   // Mempool reconciliation against the winning block: transactions that made
   // it into the chain leave the pool; my inflight transactions attributed to
   // this (or an earlier) slot whose proposal lost/aborted become available
   // again -- the slot's outcome is now settled, so this cannot double-include.
-  const FrameIndex index(payload_frames(b.payload));
   auto& entries = mempool_.entries();
   for (auto it = entries.begin(); it != entries.end();) {
     if (index.contains(it->hash, it->tx)) {
@@ -737,9 +762,10 @@ void MultishotNode::handle(NodeId from, const MsProposal& m) {
   // view spam churning first-per-view slots), the view-change /
   // content-unknown recovery paths take over -- a bounded liveness delay,
   // never a safety issue (all state is content-addressed).
+  const std::uint64_t h = m.block.hash();  // the one hash of this proposal
   if (const auto* recorded = st->proposal_by_view.find(m.view); recorded != nullptr) {
-    if (*recorded != m.block.hash() && st->extra_candidates < kMaxExtraCandidatesPerSlot &&
-        chain_.add_block(m.block)) {
+    if (*recorded != h && st->extra_candidates < kMaxExtraCandidatesPerSlot &&
+        chain_.add_block(m.block, h)) {
       ++st->extra_candidates;
     }
     return;
@@ -747,9 +773,8 @@ void MultishotNode::handle(NodeId from, const MsProposal& m) {
   // Record the view's proposal first: a view refused at the tracked-view
   // bound must leave no trace in the bounded candidate store either, or
   // stale-view spam could churn its displacement rotation.
-  const std::uint64_t h = m.block.hash();
   if (!st->proposal_by_view.try_emplace(m.view, h)) return;  // at the view bound
-  if (!chain_.add_block(m.block)) return;  // window race: mapping alone is harmless
+  if (!chain_.add_block(m.block, h)) return;  // window race: mapping alone is harmless
   if (record_timeline_) first_proposal_at_.try_emplace(m.slot, ctx().now());
   // Proposal activity revives a dormant (idle-suppressed) slot.
   if (st->started && st->timer == 0) arm_timer(m.slot);
@@ -999,7 +1024,7 @@ std::size_t MultishotNode::adopt_ready_claims() {
     for (std::size_t i = 0; i < slab->used; ++i) {
       ClaimSlab::Claim& claim = slab->claims[i];
       if (!qp_.is_blocking(claim.senders.count())) continue;
-      if (chain_.force_finalize(claim.block)) {
+      if (chain_.force_finalize(claim.block, claim.hash)) {
         progress = true;
         ++adopted;
         break;
@@ -1319,8 +1344,7 @@ void MultishotNode::handle(NodeId from, const MsBlockRequest& m) {
   if (b == nullptr) {
     // The slot may have finalized here (candidates pruned): serve from the
     // resident finalized tail when the hash matches.
-    const Block* fb = chain_.block_at(m.slot);
-    if (fb != nullptr && fb->hash() == m.block_hash) b = fb;
+    if (chain_.finalized_hash_at(m.slot) == m.block_hash) b = chain_.block_at(m.slot);
   }
   if (b == nullptr) return;
   ctx().metrics().counter("multishot.blockreq.served").add();
@@ -1340,7 +1364,7 @@ void MultishotNode::handle(NodeId from, const MsBlockReply& m) {
                         return nt && nt->hash == h;
                       }();
   if (!wanted) return;
-  if (!chain_.add_block(m.block)) return;  // window race: drop
+  if (!chain_.add_block(m.block, h)) return;  // window race: drop
   if (st != nullptr && st->wanted_hash == h) st->wanted_hash = 0;
   ctx().metrics().counter("multishot.blockreq.adopted").add();
   // The recovered bytes can complete a notarization's finalization chain,

@@ -389,7 +389,9 @@ class MultishotNode : public runtime::ProtocolNode {
   /// spreads the backlog across. Bounded window sweep, proposal-time only.
   [[nodiscard]] std::uint32_t led_inflight() const;
   void try_vote(Slot s);
-  void record_vote_effects(Slot s, View v, const Block& head);
+  /// `head_hash` is head.hash(); each ancestor's hash is its child's
+  /// parent_hash.
+  void record_vote_effects(Slot s, View v, const Block& head, std::uint64_t head_hash);
   void on_notarized(Slot s);
   void finalize_progress();
 
@@ -466,8 +468,9 @@ class MultishotNode : public runtime::ProtocolNode {
   bool defer_for_batch(SlotState& st);
   void cancel_batch_timer(SlotState& st);
   /// Mempool/commit bookkeeping for every finalized block regardless of the
-  /// path (finalization rule or ChainInfo adoption).
-  void note_finalized(const Block& b);
+  /// path (finalization rule or ChainInfo adoption). `h` is b.hash(); the
+  /// block's frame digests come from the finalized store (tip_frames).
+  void note_finalized(const Block& b, std::uint64_t h);
   void prune_slots();
 
   /// Range-sync requester state: one in-flight ranged request at a time,

@@ -203,9 +203,9 @@ void WriteAheadLog::append(const multishot::Block& b) {
     // radius of a torn tail to one segment.
     open_segment(b.slot);
   }
-  serde::Writer w;
-  b.encode(w);
-  const auto body = w.span();
+  scratch_.clear();
+  b.encode(scratch_);
+  const auto body = scratch_.span();
   std::uint8_t header[kRecordHeaderBytes];
   put_u32(header, static_cast<std::uint32_t>(body.size()));
   put_u64(header + 4, fnv1a64(body));

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/serde.hpp"
 #include "multishot/block.hpp"
 
 namespace tbft::storage {
@@ -103,6 +104,9 @@ class WriteAheadLog {
   std::uint32_t unflushed_{0};
   Slot last_slot_{0};  ///< highest slot ever appended/recovered this life
   WalStats stats_{};
+  /// Record encode buffer, reused across appends: grows to the largest
+  /// block once, so steady-state appends allocate nothing.
+  serde::Writer scratch_;
 };
 
 }  // namespace tbft::storage

@@ -9,6 +9,10 @@ Block mk(Slot slot, std::uint64_t parent, NodeId proposer = 0) {
   return Block{slot, parent, proposer, {1, 2, 3}};
 }
 
+/// Admit / adopt `b` under its content hash, as the node does on receipt.
+bool admit(ChainStore& c, const Block& b) { return c.add_block(b, b.hash()); }
+bool adopt(ChainStore& c, const Block& b) { return c.force_finalize(b, b.hash()); }
+
 TEST(Block, HashCommitsToAllFields) {
   const Block base = mk(1, kGenesisHash);
   Block other = base;
@@ -50,7 +54,7 @@ TEST(Chain, FinalizationNeedsFourConsecutiveNotarizations) {
   for (Slot s = 1; s <= 4; ++s) {
     Block b = mk(s, parent);
     parent = b.hash();
-    c.add_block(b);
+    c.add_block(b, b.hash());
     blocks.push_back(b);
   }
   for (Slot s = 1; s <= 3; ++s) {
@@ -73,7 +77,7 @@ TEST(Chain, PrefixFinalizesTogether) {
   for (Slot s = 1; s <= 7; ++s) {
     Block b = mk(s, parent);
     parent = b.hash();
-    c.add_block(b);
+    c.add_block(b, b.hash());
     c.notarize(s, 0, b.hash());
     blocks.push_back(b);
   }
@@ -88,7 +92,7 @@ TEST(Chain, BrokenParentLinkBlocksFinalization) {
   Block b3 = mk(3, 0xBAD);  // does not extend b2
   Block b4 = mk(4, b3.hash());
   for (const auto& b : {b1, b2, b3, b4}) {
-    c.add_block(b);
+    c.add_block(b, b.hash());
     c.notarize(b.slot, 0, b.hash());
   }
   EXPECT_EQ(c.try_finalize(), 0u);
@@ -99,8 +103,8 @@ TEST(Chain, HigherViewNotarizationOverridesLower) {
   ChainStore c;
   Block v0 = mk(1, kGenesisHash, 0);
   Block v1 = mk(1, kGenesisHash, 1);
-  c.add_block(v0);
-  c.add_block(v1);
+  c.add_block(v0, v0.hash());
+  c.add_block(v1, v1.hash());
   EXPECT_TRUE(c.notarize(1, 0, v0.hash()));
   EXPECT_TRUE(c.notarize(1, 1, v1.hash()));
   EXPECT_EQ(c.notarized(1)->hash, v1.hash());
@@ -120,7 +124,7 @@ TEST(Chain, AdoptParentNotarizationHealsEqualViewSeam) {
   Block twin_a = mk(1, kGenesisHash, 0);
   Block twin_b = mk(1, kGenesisHash, 1);
   Block child = mk(2, twin_b.hash(), 2);
-  for (const auto& b : {twin_a, twin_b, child}) c.add_block(b);
+  for (const auto& b : {twin_a, twin_b, child}) c.add_block(b, b.hash());
   EXPECT_TRUE(c.notarize(1, 6, twin_a.hash()));
   EXPECT_TRUE(c.notarize(2, 6, child.hash()));
   EXPECT_EQ(c.notarized_suffix_length(), 1u);  // seam: child links to twin B
@@ -142,10 +146,10 @@ TEST(Chain, MixedViewNotarizationsStillFinalize) {
   Block b3 = mk(3, b2.hash(), 3);
   Block b4 = mk(4, b3.hash(), 0);
   for (const auto& b : {b1, b2, b3}) {
-    c.add_block(b);
+    c.add_block(b, b.hash());
     c.notarize(b.slot, 1, b.hash());
   }
-  c.add_block(b4);
+  c.add_block(b4, b4.hash());
   c.notarize(4, 0, b4.hash());
   EXPECT_EQ(c.try_finalize(), 1u);
   ASSERT_NE(c.block_at(1), nullptr);
@@ -156,19 +160,19 @@ TEST(Chain, ForceFinalizeRequiresChainExtension) {
   ChainStore c;
   Block b1 = mk(1, kGenesisHash);
   Block bogus = mk(1, 0xBAD);
-  EXPECT_FALSE(c.force_finalize(bogus));
-  EXPECT_TRUE(c.force_finalize(b1));
+  EXPECT_FALSE(c.force_finalize(bogus, bogus.hash()));
+  EXPECT_TRUE(c.force_finalize(b1, b1.hash()));
   EXPECT_EQ(c.first_unfinalized(), 2u);
   Block b3 = mk(3, b1.hash());
-  EXPECT_FALSE(c.force_finalize(b3));  // slot gap
+  EXPECT_FALSE(c.force_finalize(b3, b3.hash()));  // slot gap
   Block b2 = mk(2, b1.hash());
-  EXPECT_TRUE(c.force_finalize(b2));
+  EXPECT_TRUE(c.force_finalize(b2, b2.hash()));
 }
 
 TEST(Chain, WindowRejectsFarFutureBlocks) {
   ChainStore c;
-  EXPECT_FALSE(c.add_block(mk(ChainStore::kWindow + 2, 0)));
-  EXPECT_TRUE(c.add_block(mk(2, 0)));
+  EXPECT_FALSE(admit(c, mk(ChainStore::kWindow + 2, 0)));
+  EXPECT_TRUE(admit(c, mk(2, 0)));
 }
 
 TEST(Chain, FinalizationPrunesPendingState) {
@@ -177,11 +181,11 @@ TEST(Chain, FinalizationPrunesPendingState) {
   for (Slot s = 1; s <= 5; ++s) {
     Block b = mk(s, parent);
     parent = b.hash();
-    c.add_block(b);
+    c.add_block(b, b.hash());
     c.notarize(s, 0, b.hash());
   }
   // A competing candidate for slot 1 should be pruned after finalization.
-  c.add_block(mk(1, kGenesisHash, 3));
+  admit(c, mk(1, kGenesisHash, 3));
   const auto pending_before = c.pending_entries();
   c.try_finalize();
   EXPECT_LT(c.pending_entries(), pending_before);
@@ -193,19 +197,19 @@ TEST(Chain, WindowEdgeSlotsAcceptedRejectedExactly) {
   // both edges inclusive, one past the upper edge rejected, anything
   // finalized (below the lower edge) rejected.
   ChainStore c;
-  EXPECT_TRUE(c.add_block(mk(1, kGenesisHash)));                       // lower edge
-  EXPECT_TRUE(c.add_block(mk(ChainStore::kWindow + 1, 0xFA4)));       // upper edge
-  EXPECT_FALSE(c.add_block(mk(ChainStore::kWindow + 2, 0xFA4)));      // past it
+  EXPECT_TRUE(admit(c, mk(1, kGenesisHash)));                   // lower edge
+  EXPECT_TRUE(admit(c, mk(ChainStore::kWindow + 1, 0xFA4)));   // upper edge
+  EXPECT_FALSE(admit(c, mk(ChainStore::kWindow + 2, 0xFA4)));  // past it
   EXPECT_FALSE(c.notarize(ChainStore::kWindow + 2, 0, 0xFA4));        // votes too
 
   Block b1 = mk(1, kGenesisHash);
-  ASSERT_TRUE(c.force_finalize(b1));
+  ASSERT_TRUE(c.force_finalize(b1, b1.hash()));
   // Slot 1 is finalized: candidates for it are refused, and the window
   // slides so the new upper edge admits one more slot.
-  EXPECT_FALSE(c.add_block(mk(1, kGenesisHash, 7)));
+  EXPECT_FALSE(admit(c, mk(1, kGenesisHash, 7)));
   EXPECT_FALSE(c.notarize(1, 5, 0xABC));
-  EXPECT_TRUE(c.add_block(mk(ChainStore::kWindow + 2, 0xFA4)));
-  EXPECT_FALSE(c.add_block(mk(ChainStore::kWindow + 3, 0xFA4)));
+  EXPECT_TRUE(admit(c, mk(ChainStore::kWindow + 2, 0xFA4)));
+  EXPECT_FALSE(admit(c, mk(ChainStore::kWindow + 3, 0xFA4)));
 }
 
 TEST(Chain, AdoptionExtendingTipSlidesWindowAndPrunes) {
@@ -215,13 +219,13 @@ TEST(Chain, AdoptionExtendingTipSlidesWindowAndPrunes) {
   Block b1 = mk(1, kGenesisHash);
   Block rival = mk(1, kGenesisHash, 3);
   Block ahead = mk(5, 0xAAA);
-  ASSERT_TRUE(c.add_block(b1));
-  ASSERT_TRUE(c.add_block(rival));
-  ASSERT_TRUE(c.add_block(ahead));
+  ASSERT_TRUE(c.add_block(b1, b1.hash()));
+  ASSERT_TRUE(c.add_block(rival, rival.hash()));
+  ASSERT_TRUE(c.add_block(ahead, ahead.hash()));
   ASSERT_TRUE(c.notarize(1, 0, b1.hash()));
 
   // Adoption at the first unfinalized slot (the ChainInfo path).
-  ASSERT_TRUE(c.force_finalize(b1));
+  ASSERT_TRUE(c.force_finalize(b1, b1.hash()));
   EXPECT_EQ(c.first_unfinalized(), 2u);
   EXPECT_EQ(c.find_block(1, rival.hash()), nullptr);  // pruned with the slide
   EXPECT_NE(c.find_block(5, ahead.hash()), nullptr);  // still in the window
@@ -229,9 +233,39 @@ TEST(Chain, AdoptionExtendingTipSlidesWindowAndPrunes) {
 
   // Adoption must keep extending the tip exactly.
   Block gap = mk(4, b1.hash());
-  EXPECT_FALSE(c.force_finalize(gap));            // slot gap
-  EXPECT_FALSE(c.force_finalize(mk(2, 0xBAD)));   // wrong parent
-  EXPECT_TRUE(c.force_finalize(mk(2, b1.hash())));
+  EXPECT_FALSE(adopt(c, gap));             // slot gap
+  EXPECT_FALSE(adopt(c, mk(2, 0xBAD)));    // wrong parent
+  EXPECT_TRUE(adopt(c, mk(2, b1.hash())));
+}
+
+TEST(Chain, NotarizedOnFinalizedSlotsCitesTheCarriedBlockHash) {
+  // Both finalization paths carry the admission-time hash into the
+  // finalized store; notarized() answers from it without rehashing.
+  ChainStore c;
+  std::uint64_t parent = kGenesisHash;
+  std::vector<Block> blocks;
+  for (Slot s = 1; s <= 8; ++s) {
+    Block b{s, parent, static_cast<NodeId>(s % 4), {static_cast<std::uint8_t>(s), 9}};
+    parent = b.hash();
+    blocks.push_back(b);
+  }
+  ASSERT_TRUE(adopt(c, blocks[0]));  // claim adoption
+  for (Slot s = 2; s <= 8; ++s) {    // depth-4 rule
+    ASSERT_TRUE(admit(c, blocks[s - 1]));
+    ASSERT_TRUE(c.notarize(s, 0, blocks[s - 1].hash()));
+  }
+  EXPECT_EQ(c.try_finalize(), 4u);
+  ASSERT_EQ(c.finalized_count(), 5u);
+  for (Slot s = 1; s <= 5; ++s) {
+    const auto n = c.notarized(s);
+    ASSERT_TRUE(n.has_value()) << s;
+    EXPECT_EQ(n->hash, c.block_at(s)->hash()) << s;
+    EXPECT_EQ(n->hash, blocks[s - 1].hash()) << s;
+    EXPECT_EQ(c.finalized_hash_at(s), n->hash) << s;
+  }
+  EXPECT_EQ(c.finalized_tip_hash(), blocks[4].hash());
+  EXPECT_EQ(c.required_parent(6), blocks[4].hash());
+  EXPECT_EQ(c.finalized_hash_at(6), std::nullopt);  // notarized, not finalized
 }
 
 TEST(Chain, RequiredParentAtWindowBoundaries) {
@@ -242,12 +276,12 @@ TEST(Chain, RequiredParentAtWindowBoundaries) {
   EXPECT_EQ(c.required_parent(ChainStore::kWindow + 5), std::nullopt);
 
   Block b1 = mk(1, kGenesisHash);
-  ASSERT_TRUE(c.force_finalize(b1));
+  ASSERT_TRUE(c.force_finalize(b1, b1.hash()));
   // A finalized predecessor answers from the chain, not the window.
   EXPECT_EQ(c.required_parent(2), b1.hash());
 
   Block b2 = mk(2, b1.hash());
-  ASSERT_TRUE(c.add_block(b2));
+  ASSERT_TRUE(c.add_block(b2, b2.hash()));
   ASSERT_TRUE(c.notarize(2, 0, b2.hash()));
   EXPECT_EQ(c.required_parent(3), b2.hash());
 }
@@ -255,7 +289,7 @@ TEST(Chain, RequiredParentAtWindowBoundaries) {
 TEST(Chain, CandidateBoundDisplacesUnderEquivocationFlood) {
   ChainStore c;
   for (std::size_t i = 0; i < ChainStore::kMaxCandidatesPerSlot; ++i) {
-    EXPECT_TRUE(c.add_block(mk(1, kGenesisHash, static_cast<NodeId>(i))));
+    EXPECT_TRUE(admit(c, mk(1, kGenesisHash, static_cast<NodeId>(i))));
   }
   c.notarize(1, 0, mk(1, kGenesisHash, 0).hash());
   // Past the bound new candidates are still accepted (a refusal would brick
@@ -263,7 +297,7 @@ TEST(Chain, CandidateBoundDisplacesUnderEquivocationFlood) {
   // but never the notarized block's content.
   const Block overflow =
       mk(1, kGenesisHash, static_cast<NodeId>(ChainStore::kMaxCandidatesPerSlot));
-  EXPECT_TRUE(c.add_block(overflow));
+  EXPECT_TRUE(c.add_block(overflow, overflow.hash()));
   EXPECT_NE(c.find_block(1, overflow.hash()), nullptr);
   EXPECT_NE(c.find_block(1, mk(1, kGenesisHash, 0).hash()), nullptr);  // notarized, spared
   EXPECT_EQ(c.find_block(1, mk(1, kGenesisHash, 1).hash()), nullptr);  // displaced
@@ -272,7 +306,7 @@ TEST(Chain, CandidateBoundDisplacesUnderEquivocationFlood) {
   // the most recent live candidate).
   const Block overflow2 =
       mk(1, kGenesisHash, static_cast<NodeId>(ChainStore::kMaxCandidatesPerSlot + 1));
-  EXPECT_TRUE(c.add_block(overflow2));
+  EXPECT_TRUE(c.add_block(overflow2, overflow2.hash()));
   EXPECT_NE(c.find_block(1, overflow2.hash()), nullptr);
   EXPECT_NE(c.find_block(1, overflow.hash()), nullptr);                // still stored
   EXPECT_EQ(c.find_block(1, mk(1, kGenesisHash, 2).hash()), nullptr);  // next victim
@@ -288,7 +322,7 @@ TEST(Chain, LongRunLiveStateStaysBoundedByWindow) {
   for (Slot s = 1; s <= 2000; ++s) {
     Block b = mk(s, parent);
     parent = b.hash();
-    ASSERT_TRUE(c.add_block(b)) << "slot " << s;
+    ASSERT_TRUE(c.add_block(b, b.hash())) << "slot " << s;
     ASSERT_TRUE(c.notarize(s, 0, b.hash()));
     c.try_finalize();
     ASSERT_LE(c.pending_entries(), 8u) << "slot " << s;
@@ -305,14 +339,14 @@ TEST(Chain, FillerVsTransactionBlocksReportPendingTxs) {
   // A filler payload (nonce + zero padding) has no pending transactions.
   Block filler = mk(1, kGenesisHash);
   filler.payload = {0, 0, 0, 0, 0, 0, 0, 0};
-  ASSERT_TRUE(c.add_block(filler));
+  ASSERT_TRUE(c.add_block(filler, filler.hash()));
   ASSERT_TRUE(c.notarize(1, 0, filler.hash()));
   EXPECT_FALSE(c.slot_has_pending_txs(1));
 
   // A batched payload (nonce + one length-prefixed frame) is pending work.
   Block txful = mk(2, filler.hash());
   txful.payload = {0, 3, 0xAA, 0xBB, 0xCC};
-  ASSERT_TRUE(c.add_block(txful));
+  ASSERT_TRUE(c.add_block(txful, txful.hash()));
   ASSERT_TRUE(c.notarize(2, 0, txful.hash()));
   EXPECT_TRUE(c.slot_has_pending_txs(2));
 
@@ -327,7 +361,7 @@ TEST(Chain, FillerVsTransactionBlocksReportPendingTxs) {
 TEST(Chain, NotarizedFinalizedSlotReportsChainHash) {
   ChainStore c;
   Block b1 = mk(1, kGenesisHash);
-  ASSERT_TRUE(c.force_finalize(b1));
+  ASSERT_TRUE(c.force_finalize(b1, b1.hash()));
   const auto n = c.notarized(1);
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(n->hash, b1.hash());

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "multishot/finalized_store.hpp"
 #include "multishot/node.hpp"
 #include "ms_cluster_helpers.hpp"
@@ -61,7 +63,7 @@ TEST(FinalizedStore, CheckpointExactlyAtTailBoundary) {
     Block b = mk(s, parent);
     parent = b.hash();
     blocks.push_back(b);
-    store.append(Block{b});
+    store.append(Block{b}, parent);
   }
   // Exactly full: nothing compacted yet, every block resident.
   EXPECT_EQ(store.tip(), 8u);
@@ -72,7 +74,7 @@ TEST(FinalizedStore, CheckpointExactlyAtTailBoundary) {
 
   // One past the boundary: slot 1 folds into the checkpoint.
   Block b9 = mk(9, parent);
-  store.append(Block{b9});
+  store.append(Block{b9}, b9.hash());
   EXPECT_EQ(store.tip(), 9u);
   EXPECT_EQ(store.tail_first(), 2u);
   EXPECT_EQ(store.checkpoint().slot, 1u);
@@ -90,7 +92,7 @@ TEST(FinalizedStore, PrefixDigestMatchesFullFoldAcrossCompaction) {
     Block b = mk(s, parent);
     parent = b.hash();
     full_fold = hash_combine(full_fold, b.hash());
-    store.append(std::move(b));
+    store.append(std::move(b), parent);
   }
   ASSERT_EQ(store.tip(), 50u);
   EXPECT_EQ(store.checkpoint().slot, 42u);
@@ -116,7 +118,7 @@ TEST(FinalizedStore, CommitIndexSurvivesCompaction) {
     else payload = {0, 0, 0, 0};  // filler
     Block b = mk(s, parent, std::move(payload));
     parent = b.hash();
-    store.append(std::move(b));
+    store.append(std::move(b), parent);
   }
   ASSERT_LT(Slot{2}, store.tail_first());  // the early block was compacted
   EXPECT_EQ(store.commit_slot(early_tx), 2u);   // answered from the digest set
@@ -132,7 +134,7 @@ TEST(FinalizedStore, ChainStoreTailAccessorsAcrossCompaction) {
   for (Slot s = 1; s <= 30; ++s) {
     Block b = mk(s, parent);
     parent = b.hash();
-    ASSERT_TRUE(c.add_block(b));
+    ASSERT_TRUE(c.add_block(b, b.hash()));
     ASSERT_TRUE(c.notarize(s, 0, b.hash()));
     c.try_finalize();
   }
@@ -149,18 +151,226 @@ TEST(FinalizedStore, ChainStoreTailAccessorsAcrossCompaction) {
   EXPECT_EQ(c.notarized(19), std::nullopt);
 }
 
+/// The hash the store reports for every resident block (hash_at, read from
+/// the parent links, never recomputed) equals a recomputation from the
+/// block, and every digest built from those hashes (tip_hash, prefix_digest,
+/// checkpoint_at) equals the same fold over recomputed ones.
+void expect_carried_hashes_match_blocks(const FinalizedStore& store) {
+  const Checkpoint& base = store.checkpoint();
+  if (base.slot > 0) {
+    EXPECT_EQ(store.hash_at(base.slot), std::nullopt);  // compacted
+  }
+  EXPECT_EQ(store.hash_at(store.tip() + 1), std::nullopt);
+  Checkpoint expect = base;
+  for (Slot s = store.tail_first(); s <= store.tip(); ++s) {
+    const Block* b = store.block_at(s);
+    ASSERT_NE(b, nullptr) << s;
+    EXPECT_EQ(store.hash_at(s), b->hash()) << s;
+    expect.chain_hash = hash_combine(expect.chain_hash, b->hash());
+    expect.tx_count += payload_frames(b->payload).size();
+    expect.slot = s;
+    expect.boundary_hash = b->hash();
+    EXPECT_EQ(store.prefix_digest(s), expect.chain_hash) << s;
+    EXPECT_EQ(store.checkpoint_at(s), expect) << s;
+  }
+  EXPECT_EQ(store.tip_hash(), expect.slot == base.slot ? base.boundary_hash
+                                                       : expect.boundary_hash);
+}
+
+/// Slots 1..count, every third one carrying two transaction frames.
+std::vector<Block> tx_chain(Slot count) {
+  std::vector<Block> chain;
+  std::uint64_t parent = kGenesisHash;
+  for (Slot s = 1; s <= count; ++s) {
+    const auto tag = static_cast<std::uint8_t>(s);
+    Block b = mk(s, parent, s % 3 == 0 ? tx_payload({{tag, 1}, {tag, 2}})
+                                       : std::vector<std::uint8_t>{0, 0, 0, 0});
+    parent = b.hash();
+    chain.push_back(std::move(b));
+  }
+  return chain;
+}
+
+TEST(FinalizedStore, CarriedHashesMatchBlocksAcrossAppendCompactionRestoreInstall) {
+  const std::vector<Block> chain = tx_chain(60);
+  FinalizedStore store(8);
+  for (Slot s = 1; s <= 30; ++s) {
+    store.append(Block{chain[s - 1]}, chain[s - 1].hash());
+    expect_carried_hashes_match_blocks(store);
+  }
+  ASSERT_EQ(store.checkpoint().slot, 22u);  // compaction ran
+
+  // Restore onto the checkpoint, then replay the tail (the WAL path).
+  FinalizedStore restored(8);
+  restored.restore(store.checkpoint());
+  expect_carried_hashes_match_blocks(restored);
+  for (Slot s = store.tail_first(); s <= 40; ++s) {
+    restored.append(Block{chain[s - 1]}, chain[s - 1].hash());
+    expect_carried_hashes_match_blocks(restored);
+  }
+  EXPECT_GT(restored.checkpoint().slot, store.checkpoint().slot);  // compacted again
+
+  // Install a checkpoint ahead of the tip (state transfer): the ring
+  // restarts at the new boundary and fills and wraps again.
+  const auto ahead = restored.checkpoint_at(38);
+  ASSERT_TRUE(ahead.has_value());
+  ASSERT_TRUE(store.install_checkpoint(*ahead));
+  EXPECT_EQ(store.block_at(38), nullptr);
+  expect_carried_hashes_match_blocks(store);
+  for (Slot s = 39; s <= 60; ++s) {
+    store.append(Block{chain[s - 1]}, chain[s - 1].hash());
+    expect_carried_hashes_match_blocks(store);
+  }
+  EXPECT_EQ(store.tip_hash(), chain.back().hash());
+
+  // hash_at reads hashes from the parent links, so the tail must stay linked.
+  const Block unlinked = mk(61, 0xBAD);
+  EXPECT_THROW(store.append(Block{unlinked}, unlinked.hash()), InvariantViolation);
+  EXPECT_EQ(store.tip(), 60u);
+}
+
+TEST(FinalizedStore, TipFramesAreTheCommitIndexDigests) {
+  const std::vector<std::uint8_t> a = {0xA1, 0xA2};
+  const std::vector<std::uint8_t> b = {0xB1};
+  FinalizedStore store(8);
+  Block b1 = mk(1, kGenesisHash, tx_payload({a, b}));
+  const std::uint64_t h1 = b1.hash();
+  store.append(std::move(b1), h1);
+  const auto frames = store.tip_frames();
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].digest, fnv1a64(a));
+  EXPECT_TRUE(std::ranges::equal(frames[0].frame, a));
+  EXPECT_EQ(frames[1].digest, fnv1a64(b));
+  EXPECT_TRUE(std::ranges::equal(frames[1].frame, b));
+  // The spans view the resident block's payload, not a copy.
+  EXPECT_EQ(frames[0].frame.data(), store.block_at(1)->payload.data() + 2);
+  EXPECT_EQ(store.commit_slot(a), 1u);
+
+  Block filler = mk(2, h1, {0, 0, 0, 0});
+  const std::uint64_t h2 = filler.hash();
+  store.append(std::move(filler), h2);
+  EXPECT_TRUE(store.tip_frames().empty());
+}
+
+TEST(FinalizedStore, RingFillsLazilyAndStaysFlatOnceFull) {
+  FinalizedStore store;
+  const std::size_t cap = FinalizedStore::kDefaultTailCapacity;
+  // A fresh store holds no ring cells: well under one full ring of blocks.
+  const std::size_t fresh = store.resident_bytes();
+  EXPECT_LT(fresh, cap * sizeof(Block));
+  std::uint64_t parent = kGenesisHash;
+  std::size_t before = fresh;
+  std::size_t at_full = 0;
+  for (Slot s = 1; s <= cap + 100; ++s) {
+    Block b = mk(s, parent, {0, 0, 0, 0});
+    parent = b.hash();
+    store.append(std::move(b), parent);
+    const std::size_t now = store.resident_bytes();
+    if (s <= cap) {
+      EXPECT_GT(now, before) << "slot " << s;  // one more cell per slot
+    } else {
+      EXPECT_EQ(now, at_full) << "slot " << s;  // full ring: flat
+    }
+    if (s == cap) at_full = now;
+    before = now;
+  }
+  EXPECT_GT(at_full, cap * sizeof(Block));
+}
+
 TEST(FinalizedStore, ForceFinalizeNotifiesHookInOrder) {
   ChainStore c(8);
   std::vector<Slot> notified;
-  c.set_on_finalized([&](const Block& b) { notified.push_back(b.slot); });
+  c.set_on_finalized([&](const Block& b, std::uint64_t h) {
+    notified.push_back(b.slot);
+    EXPECT_EQ(h, b.hash()) << b.slot;
+  });
   std::uint64_t parent = kGenesisHash;
   for (Slot s = 1; s <= 20; ++s) {
     Block b = mk(s, parent);
     parent = b.hash();
-    ASSERT_TRUE(c.force_finalize(b));
+    ASSERT_TRUE(c.force_finalize(b, b.hash()));
   }
   ASSERT_EQ(notified.size(), 20u);
   for (Slot s = 1; s <= 20; ++s) EXPECT_EQ(notified[s - 1], s);
+}
+
+/// A host for one replica driven by hand: records published commits, counts
+/// metrics, and drops every send (the test plays the other replicas).
+class RecordingHost final : public runtime::Host {
+ public:
+  struct Published {
+    std::uint64_t stream{0};
+    Value value{};
+    std::vector<std::uint8_t> payload;
+  };
+
+  [[nodiscard]] NodeId id() const override { return 0; }
+  [[nodiscard]] std::uint32_t n() const override { return 4; }
+  [[nodiscard]] runtime::Time now() const override { return 0; }
+  void send(NodeId, Payload) override {}
+  void broadcast(Payload) override {}
+  runtime::TimerId set_timer(runtime::Duration) override { return ++next_timer_; }
+  void cancel_timer(runtime::TimerId) override {}
+  void publish_commit(std::uint64_t stream, Value value,
+                      std::span<const std::uint8_t> payload) override {
+    commits.push_back({stream, value, {payload.begin(), payload.end()}});
+  }
+  MetricsRegistry& metrics() override { return metrics_; }
+  Rng& rng() override { return rng_; }
+
+  std::vector<Published> commits;
+
+ private:
+  MetricsRegistry metrics_;
+  Rng rng_{1};
+  runtime::TimerId next_timer_{0};
+};
+
+TEST(DeliveryFilter, FrameCommittedAtAnEarlierSlotIsDroppedCountedAndReconciled) {
+  // At-least-once inclusion can put one transaction in two finalized
+  // blocks; delivery must publish it once. Slot 1 commits `dup` through
+  // WAL replay (which bypasses the commit hooks, so the mempool still holds
+  // the transaction), then slot 2 finalizes carrying `dup` again beside a
+  // fresh `tx`.
+  const std::vector<std::uint8_t> dup = {0xD0, 0xD1, 0xD2};
+  const std::vector<std::uint8_t> tx = {0x7E};
+  MultishotConfig cfg;
+  cfg.forward_to_leader = false;
+  MultishotNode node(cfg);
+  RecordingHost host;
+  node.bind(host);
+  ASSERT_TRUE(node.submit_tx(dup));
+  ASSERT_TRUE(node.mempool().contains(fnv1a64(dup), dup));
+
+  const Block b1 = mk(1, kGenesisHash, tx_payload({dup}));
+  node.restore_chain(Checkpoint{}, {}, {b1});
+  node.on_start();
+  ASSERT_EQ(node.chain().commit_slot(dup), 1u);
+  ASSERT_TRUE(node.mempool().contains(fnv1a64(dup), dup));
+
+  // f+1 = 2 matching claims adopt slot 2 (the ChainInfo catch-up path).
+  const Block b2{2, b1.hash(), 2, tx_payload({dup, tx})};
+  serde::Writer scratch;
+  const MsMessage info = MsChainInfo{3, {b2}};
+  node.on_message(1, encode_ms_payload(info, scratch, false));
+  node.on_message(2, encode_ms_payload(info, scratch, false));
+  ASSERT_EQ(node.finalized_count(), 2u);
+
+  // The chain keeps both copies; delivery publishes `tx` alone.
+  ASSERT_EQ(host.commits.size(), 1u);
+  const RecordingHost::Published& c = host.commits[0];
+  EXPECT_EQ(c.stream, 2u);
+  EXPECT_EQ(c.value, b2.value());
+  EXPECT_EQ(c.payload.size(), b2.payload.size());  // zero padding keeps the size
+  const auto delivered = payload_frames(c.payload);
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_TRUE(std::ranges::equal(delivered[0], tx));
+  EXPECT_EQ(*node.block_at(2), b2);
+  EXPECT_EQ(host.metrics().counter("multishot.delivery.filtered_dup").value(), 1u);
+  // Mempool reconciliation matched the duplicate against the block and
+  // erased the entry.
+  EXPECT_FALSE(node.mempool().contains(fnv1a64(dup), dup));
+  EXPECT_EQ(node.mempool().size(), 0u);
 }
 
 }  // namespace

@@ -137,17 +137,17 @@ TEST(LargeN, EquivocationCandidateCapSparesTheNotarizedBlock) {
   for (std::uint8_t i = 0; i < 128; ++i) {
     Block b{/*slot=*/1, multishot::kGenesisHash, /*proposer=*/0, {i}};
     twins.push_back(b);
-    EXPECT_TRUE(c.add_block(b));
+    EXPECT_TRUE(c.add_block(b, b.hash()));
   }
   EXPECT_LE(c.pending_entries(), ChainStore::kMaxCandidatesPerSlot + 1);
 
   // Re-add the displaced twin 0, notarize it, then keep spamming: the
   // notarized candidate must survive another 128 displacements.
-  EXPECT_TRUE(c.add_block(twins[0]));
+  EXPECT_TRUE(c.add_block(twins[0], twins[0].hash()));
   EXPECT_TRUE(c.notarize(1, /*view=*/1, twins[0].hash()));
   for (std::uint8_t i = 0; i < 128; ++i) {
     Block b{/*slot=*/1, multishot::kGenesisHash, /*proposer=*/0, {0xAA, i}};
-    EXPECT_TRUE(c.add_block(b));
+    EXPECT_TRUE(c.add_block(b, b.hash()));
   }
   EXPECT_NE(c.find_block(1, twins[0].hash()), nullptr)
       << "displacement rotation evicted the notarized block";

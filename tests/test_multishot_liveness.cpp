@@ -64,7 +64,7 @@ TEST(MultishotLiveness, ChainStoreWindowBoundsFarFutureBlocks) {
   multishot::ChainStore store;
   multishot::Block far;
   far.slot = multishot::ChainStore::kWindow + 10;
-  EXPECT_FALSE(store.add_block(far));
+  EXPECT_FALSE(store.add_block(far, far.hash()));
   EXPECT_EQ(store.pending_entries(), 0u);
 }
 

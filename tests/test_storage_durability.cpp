@@ -323,7 +323,7 @@ TEST(DurableChain, CheckpointCadenceReclaimAndRecovery) {
     for (Slot s = 1; s <= 100; ++s) {
       Block b = mk(s, parent, s == 2 ? tx_payload({early_tx}) : std::vector<std::uint8_t>{0});
       parent = b.hash();
-      store.append(Block{b});
+      store.append(Block{b}, b.hash());
       durable.append(b, store);
     }
     EXPECT_GE(durable.checkpoints_stored(), 4u);
@@ -343,7 +343,10 @@ TEST(DurableChain, CheckpointCadenceReclaimAndRecovery) {
   restored.restore(rec.checkpoint);
   serde::Reader r(rec.commit_state);
   ASSERT_TRUE(restored.install_commit_state(r));
-  for (Block& b : rec.tail) restored.append(std::move(b));
+  for (Block& b : rec.tail) {
+    const std::uint64_t h = b.hash();
+    restored.append(std::move(b), h);
+  }
   EXPECT_EQ(restored.tip(), 100u);
   EXPECT_EQ(restored.tip_hash(), store.tip_hash());
   EXPECT_EQ(restored.checkpoint(), store.checkpoint());
@@ -363,7 +366,7 @@ TEST(DurableChain, TornTailRecoversToLastDurableRecord) {
     (void)durable.recover();
     FinalizedStore store(8);
     for (const Block& b : chain) {
-      store.append(Block{b});
+      store.append(Block{b}, b.hash());
       durable.append(b, store);
     }
   }
