@@ -9,10 +9,18 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "ms_bench_common.hpp"
+#include "ms_cluster_helpers.hpp"
 
 namespace tbft::bench {
 namespace {
+
+/// A replica that records its proposal/notarization timeline (the tables
+/// below read node 0's).
+std::unique_ptr<sim::ProtocolNode> timeline_node(NodeId, const multishot::MultishotConfig& cfg) {
+  auto node = std::make_unique<multishot::MultishotNode>(cfg);
+  node->set_record_timeline(true);
+  return node;
+}
 
 void run_fig2() {
   print_header(
@@ -21,9 +29,10 @@ void run_fig2() {
       "vote-2 for s-1, vote-3 for s-2, vote-4 for s-3; block s finalized\n"
       "once slots s..s+3 are notarized");
 
-  MsRunOptions opts;
+  test::MsClusterOptions opts;
   opts.max_slots = 24;
-  auto c = make_ms_bench_cluster(opts);
+  opts.make_node = timeline_node;
+  auto c = test::make_ms_cluster(opts);
   if (!c.run_until_finalized(20, 60 * sim::kSecond)) {
     std::printf("ERROR: pipeline failed to finalize 20 blocks\n");
     return;
@@ -61,9 +70,10 @@ void run_throughput_comparison() {
       "single-shot TetraBFT (same simulator, same delta)");
 
   // Pipelined: blocks finalized per delta.
-  MsRunOptions opts;
+  test::MsClusterOptions opts;
   opts.max_slots = 64;
-  auto c = make_ms_bench_cluster(opts);
+  opts.make_node = timeline_node;
+  auto c = test::make_ms_cluster(opts);
   if (!c.run_until_finalized(60, 120 * sim::kSecond)) {
     std::printf("ERROR: pipeline stalled\n");
     return;

@@ -9,7 +9,7 @@
 #include <set>
 
 #include "bench_common.hpp"
-#include "ms_bench_common.hpp"
+#include "ms_cluster_helpers.hpp"
 
 namespace tbft::bench {
 namespace {
@@ -20,18 +20,22 @@ void run_fig3() {
       "slot 2's view-0 leader (node 2) never proposes; timers fire at\n"
       "9*Delta; the view change names the lowest unfinalized slot");
 
-  MsRunOptions opts;
+  test::MsClusterOptions opts;
   opts.max_slots = 16;
   opts.delta_actual = 1 * sim::kMillisecond;
   opts.delta_bound = 10 * sim::kMillisecond;
   opts.make_node = [](NodeId id, const multishot::MultishotConfig& cfg)
       -> std::unique_ptr<sim::ProtocolNode> {
+    std::unique_ptr<multishot::MultishotNode> node;
     if (id == 2) {
-      return std::make_unique<multishot::SelectiveSilentLeader>(cfg, std::set<Slot>{2});
+      node = std::make_unique<multishot::SelectiveSilentLeader>(cfg, std::set<Slot>{2});
+    } else {
+      node = std::make_unique<multishot::MultishotNode>(cfg);
     }
-    return nullptr;
+    node->set_record_timeline(true);  // the table below reads node 0's
+    return node;
   };
-  auto c = make_ms_bench_cluster(opts);
+  auto c = test::make_ms_cluster(opts);
   if (!c.run_until_finalized(10, 120 * sim::kSecond)) {
     std::printf("ERROR: recovery failed\n");
     return;

@@ -19,8 +19,9 @@
 //      `slots`-record WAL (checksum + parent-linkage verified per record)
 //      must sustain >= 100k blocks/sec.
 //   5. DURABLE LOGGING: wiring the WAL into the finalized hook must cost
-//      <= 15% of commit throughput, measured as the wall-clock delta of two
-//      otherwise identical 4-node sim runs (in-memory vs data_dir).
+//      <= 15% of commit throughput, measured as the wall-clock delta of
+//      otherwise identical 4-node sim runs (in-memory vs data_dir), median
+//      of five interleaved runs per mode.
 //   6. BOUNDED COMMIT INDEX: with epoch rotation on, resident commit-query
 //      memory over a 100k-slot transaction-bearing run is flat (end <= mid
 //      + 2%) -- exact entries rotate into per-epoch Bloom filters instead
@@ -331,12 +332,23 @@ double drive_sim(Slot slots, bool durable) {
 }
 
 OverheadResult run_overhead(Slot slots) {
+  // Interleaved runs, median per mode: a single wall-clock run (or the best
+  // of two) swings past the bound on a shared host; the median of five
+  // interleaved pairs does not.
+  constexpr int kRuns = 5;
+  std::vector<double> memory;
+  std::vector<double> durable;
+  for (int i = 0; i < kRuns; ++i) {
+    memory.push_back(drive_sim(slots, false));
+    durable.push_back(drive_sim(slots, true));
+  }
+  const auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
   OverheadResult res;
-  // Interleaved best-of-two per mode damps one-off scheduler noise.
-  res.memory_wall_s = drive_sim(slots, false);
-  res.durable_wall_s = drive_sim(slots, true);
-  res.memory_wall_s = std::min(res.memory_wall_s, drive_sim(slots, false));
-  res.durable_wall_s = std::min(res.durable_wall_s, drive_sim(slots, true));
+  res.memory_wall_s = median(memory);
+  res.durable_wall_s = median(durable);
   res.overhead_pct =
       (res.durable_wall_s / res.memory_wall_s - 1.0) * 100.0;
   return res;

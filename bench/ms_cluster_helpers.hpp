@@ -1,5 +1,6 @@
 #pragma once
-// Harness for multi-shot TetraBFT integration tests and benches.
+// Simulated multi-shot TetraBFT cluster harness shared by the integration
+// tests and the figure benches (bench_fig2_pipeline, bench_fig3_viewchange).
 
 #include <functional>
 #include <memory>

@@ -41,7 +41,7 @@ int main() {
   }
 
   simulation.start();
-  simulation.run_until_pred(
+  const bool finalized = simulation.run_until_pred(
       [&] {
         for (auto* n : nodes) {
           if (n->finalized_count() < 12) return false;
@@ -49,6 +49,10 @@ int main() {
         return true;
       },
       10 * sim::kSecond);
+  if (!finalized) {
+    std::printf("the chain did not finalize 12 blocks on every node -- this should not happen\n");
+    return 1;
+  }
 
   const multishot::MultishotNode* node0 = nodes[0];
   const Slot count = node0->finalized_count();
@@ -63,10 +67,12 @@ int main() {
   }
 
   std::printf("\ntransaction inclusion:\n");
+  bool all_included = true;
   for (const auto& tx : txs) {
     const std::vector<std::uint8_t> bytes(tx.begin(), tx.end());
     bool everywhere = true;
     for (auto* n : nodes) everywhere = everywhere && n->tx_finalized(bytes);
+    all_included = all_included && everywhere;
     std::printf("  %-16s %s\n", tx.c_str(),
                 everywhere ? "finalized on every node" : "NOT finalized everywhere");
   }
@@ -78,5 +84,5 @@ int main() {
               static_cast<unsigned long long>(count),
               static_cast<long long>(simulation.trace().decision_of(0, count)->at /
                                      sim::kMillisecond));
-  return 0;
+  return all_included && consistent ? 0 : 1;
 }

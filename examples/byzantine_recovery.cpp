@@ -67,7 +67,8 @@ int main() {
                 static_cast<double>(d->at) / sim::kMillisecond,
                 static_cast<long long>(nodes[i]->current_view()));
   }
+  const bool agreement = simulation.trace().agreement_holds();
   std::printf("\nagreement: %s; the Byzantine values 666/667 were never decided.\n",
-              simulation.trace().agreement_holds() ? "holds" : "VIOLATED");
-  return 0;
+              agreement ? "holds" : "VIOLATED");
+  return agreement ? 0 : 1;
 }

@@ -41,7 +41,9 @@ int main() {
   std::printf("  latency p50 %.1f ms vs max %.1f ms -- the tail is the partition\n",
               part.report.latency_p50_ms, part.report.latency_max_ms);
 
+  // all_admitted_committed implies at least one request finalized.
   const bool ok = steady.all_admitted_committed && steady.report.exactly_once() &&
-                  part.all_admitted_committed && part.report.exactly_once();
+                  steady.chains_consistent && part.all_admitted_committed &&
+                  part.report.exactly_once() && part.chains_consistent;
   return ok ? 0 : 1;
 }

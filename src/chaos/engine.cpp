@@ -1,6 +1,5 @@
 #include "chaos/engine.hpp"
 
-#include <cstdlib>
 #include <cstdio>
 
 #include <algorithm>
@@ -11,12 +10,11 @@
 #include "common/assert.hpp"
 #include "multishot/node.hpp"
 #include "shard/mux.hpp"
-#include "shard/tracker.hpp"
+#include "shard/replica.hpp"
 #include "sim/adversary.hpp"
 #include "sim/runtime.hpp"
 #include "storage/durable_chain.hpp"
-#include "workload/generator.hpp"
-#include "workload/request.hpp"
+#include "workload/scenarios.hpp"
 
 namespace tbft::chaos {
 
@@ -41,16 +39,15 @@ std::string ChaosVerdict::failure() const {
 namespace {
 
 /// Submission port that tracks the replica across crash/restart and routes
-/// each request to its home shard on the live mux (untagged bytes park on
-/// shard 0). Submissions while the node is down are rejected
-/// (backpressure), exactly like a dead TCP endpoint, and resume against the
-/// recovered mux.
+/// each request to its home shard on the live mux. Submissions while the
+/// node is down are rejected (backpressure), exactly like a dead TCP
+/// endpoint, and resume against the recovered mux.
 struct LivePort final : workload::SubmitPort {
   LivePort(shard::ShardMux** slot, std::uint32_t shards) : slot_(slot), router_(shards) {}
   bool submit(std::vector<std::uint8_t> tx) override {
     if (*slot_ == nullptr) return false;
-    const auto tag = workload::parse_request_tag(tx);
-    return (*slot_)->submit(tag ? router_.shard_of(*tag) : 0, std::move(tx));
+    const std::uint32_t shard = router_.route(tx);
+    return (*slot_)->submit(shard, std::move(tx));
   }
   shard::ShardMux** slot_;
   shard::ShardRouter router_;
@@ -87,17 +84,50 @@ storage::DurableOptions durable_options() {
   return o;
 }
 
-/// Fresh honest replica, recovered from `dir` when a previous life left
-/// durable state there.
-std::unique_ptr<multishot::MultishotNode> make_recovered(
-    const multishot::MultishotConfig& cfg, storage::DurableChain& durable) {
-  auto node = std::make_unique<multishot::MultishotNode>(cfg);
-  storage::RecoveredState rec = durable.recover();
-  if (rec.tip() > 0 || !rec.commit_state.empty()) {
-    node->restore_chain(rec.checkpoint, rec.commit_state, std::move(rec.tail));
+/// Per-replica state for the failure dump: finalized counts, the first
+/// unfinalized slots' notarizations, and every mempool entry.
+void dump_replicas(sim::Simulation& simu, const std::vector<shard::ShardMux*>& muxes) {
+  auto& mx = simu.metrics();
+  std::fprintf(stderr, "blockreq sent=%llu served=%llu adopted=%llu\n",
+               static_cast<unsigned long long>(mx.counter("multishot.blockreq.sent").value()),
+               static_cast<unsigned long long>(mx.counter("multishot.blockreq.served").value()),
+               static_cast<unsigned long long>(mx.counter("multishot.blockreq.adopted").value()));
+  for (NodeId i = 0; i < muxes.size(); ++i) {
+    if (muxes[i] == nullptr) continue;
+    for (std::uint32_t k = 0; k < muxes[i]->shards(); ++k) {
+      const auto& inst = muxes[i]->instance(k);
+      std::fprintf(stderr, "node %u shard %u: finalized=%llu pool=%zu\n", i, k,
+                   static_cast<unsigned long long>(inst.finalized_count()),
+                   inst.mempool().size());
+      const auto& ch = inst.chain();
+      const Slot first = inst.finalized_count() + 1;
+      for (Slot s = first; s < first + 4; ++s) {
+        const auto nz = ch.notarized(s);
+        if (!nz) {
+          std::fprintf(stderr, "  slot %llu: no notarization\n",
+                       static_cast<unsigned long long>(s));
+          continue;
+        }
+        const auto* blk = ch.find_block(s, nz->hash);
+        std::fprintf(stderr,
+                     "  slot %llu: notarized view=%llu hash=%016llx block=%s parent=%016llx"
+                     " want_parent=%016llx\n",
+                     static_cast<unsigned long long>(s),
+                     static_cast<unsigned long long>(nz->view),
+                     static_cast<unsigned long long>(nz->hash), blk ? "yes" : "MISSING",
+                     blk ? static_cast<unsigned long long>(blk->parent_hash) : 0ULL,
+                     static_cast<unsigned long long>(
+                         s == first ? ch.finalized_tip_hash()
+                                    : (ch.notarized(s - 1) ? ch.notarized(s - 1)->hash : 0)));
+      }
+      for (const auto& e : inst.mempool().entries()) {
+        std::fprintf(stderr, "  tx hash=%016llx size=%zu inflight=%d slot=%llu hold_until=%lld\n",
+                     static_cast<unsigned long long>(e.hash), e.tx.size(), e.inflight,
+                     static_cast<unsigned long long>(e.slot),
+                     static_cast<long long>(e.hold_until));
+      }
+    }
   }
-  node->set_durable(&durable);
-  return node;
 }
 
 }  // namespace
@@ -134,34 +164,17 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   const std::uint32_t S = plan.shards;
   std::vector<shard::ShardMux*> muxes(plan.n, nullptr);
   std::vector<std::vector<std::unique_ptr<storage::DurableChain>>> durables(plan.n);
-  // The sharded tracker degenerates to one flat WorkloadTracker at S = 1:
-  // same books, same completion-listener retry path.
-  shard::ShardedTracker tracker(simu->metrics(), S);
+  workload::WorkloadTracker tracker(simu->metrics(), S);
 
-  const auto node_dir = [&](NodeId id) {
-    return work_dir / ("node-" + std::to_string(id));
-  };
-  const auto shard_dir = [&](NodeId id, std::uint32_t k) {
-    // Historical S = 1 layout is preserved (node-<id> is the chain dir).
-    return S == 1 ? node_dir(id) : node_dir(id) / ("shard-" + std::to_string(k));
-  };
-
-  // Build -- or rebuild, recovering whatever durable state the directories
-  // hold -- replica i's honest protocol node: a ShardMux of S recovered
-  // chains.
+  // Build -- or rebuild, recovering whatever durable state its directory
+  // holds -- replica i's honest protocol node.
   const auto make_honest = [&](NodeId i) -> std::unique_ptr<runtime::ProtocolNode> {
-    durables[i].clear();
-    std::vector<std::unique_ptr<multishot::MultishotNode>> instances;
-    for (std::uint32_t k = 0; k < S; ++k) {
-      durables[i].push_back(
-          std::make_unique<storage::DurableChain>(shard_dir(i, k), durable_options()));
-      auto instance = make_recovered(node_cfg, *durables[i].back());
-      tracker.observe(k, *instance);
-      instances.push_back(std::move(instance));
-    }
-    auto mux = std::make_unique<shard::ShardMux>(std::move(instances));
-    muxes[i] = mux.get();
-    return mux;
+    shard::Replica r = shard::make_replica(node_cfg, S, shard::node_dir(work_dir, i),
+                                           durable_options());
+    for (std::uint32_t k = 0; k < S; ++k) tracker.observe(r.mux->instance(k), k);
+    durables[i] = std::move(r.durables);
+    muxes[i] = r.mux.get();
+    return std::move(r.mux);
   };
 
   // Sharded runs confine each single-chain adversary to shard 0 (see
@@ -189,8 +202,7 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
         add_adversary(std::make_unique<sim::ViewChangeEquivocator>(node_cfg));
         break;
       case ByzRole::kHonest: {
-        fs::remove_all(node_dir(i));
-        for (std::uint32_t k = 0; k < S; ++k) fs::create_directories(shard_dir(i, k));
+        fs::remove_all(shard::node_dir(work_dir, i));
         simu->add_node(make_honest(i));
         ++v.observers;
         break;
@@ -208,37 +220,15 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
       honest.push_back(ports.back().get());
     }
   }
-  TBFT_ASSERT_MSG(!honest.empty(), "chaos plan with no honest replica");
-
-  for (std::uint32_t c = 0; c < plan.clients; ++c) {
-    workload::ClientConfig base;
-    base.client_id = c;
-    base.request_bytes = plan.request_bytes;
-    base.start = 0;
-    base.stop = plan.load_duration;
-    base.retry_timeout = plan.client_retry_timeout;
-    std::vector<workload::SubmitPort*> targets;
-    for (std::size_t i = 0; i < honest.size(); ++i) {
-      targets.push_back(honest[(c + i) % honest.size()]);
-    }
-    if (plan.load == LoadShape::kClosedLoop) {
-      workload::ClosedLoopConfig cl;
-      cl.base = base;
-      cl.outstanding = plan.outstanding;
-      simu->add_client(
-          std::make_unique<workload::ClosedLoopClient>(cl, targets, tracker));
-    } else {
-      workload::OpenLoopConfig ol;
-      ol.base = base;
-      ol.rate_per_sec = plan.rate_per_sec;
-      if (plan.load == LoadShape::kOpenBurst) {
-        ol.burst_period = plan.load_duration / 4;
-        ol.burst_duty = 0.25;
-        ol.burst_multiplier = 4.0;
-      }
-      simu->add_client(std::make_unique<workload::OpenLoopClient>(ol, targets, tracker));
-    }
-  }
+  workload::ClientLoad load;
+  load.shape = plan.load;
+  load.clients = plan.clients;
+  load.base.request_bytes = plan.request_bytes;
+  load.base.stop = plan.load_duration;
+  load.base.retry_timeout = plan.client_retry_timeout;
+  load.rate_per_sec = plan.rate_per_sec;
+  load.outstanding = plan.outstanding;
+  workload::add_clients(*simu, load, honest, tracker);
 
   simu->start();
 
@@ -272,52 +262,6 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   // consistency check.
   simu->run_until(simu->now() + 2 * plan.delta_bound);
 
-  if (std::getenv("TBFT_CHAOS_DEBUG") != nullptr) {
-    auto& mx = simu->metrics();
-    std::fprintf(stderr, "blockreq sent=%llu served=%llu adopted=%llu\n",
-                 static_cast<unsigned long long>(mx.counter("multishot.blockreq.sent").value()),
-                 static_cast<unsigned long long>(mx.counter("multishot.blockreq.served").value()),
-                 static_cast<unsigned long long>(mx.counter("multishot.blockreq.adopted").value()));
-    for (NodeId i = 0; i < plan.n; ++i) {
-      if (muxes[i] == nullptr) continue;
-      for (std::uint32_t k = 0; k < S; ++k) {
-        const auto& inst = muxes[i]->instance(k);
-        std::fprintf(stderr, "node %u shard %u: finalized=%llu pool=%zu\n", i, k,
-                     static_cast<unsigned long long>(inst.finalized_count()),
-                     inst.mempool().size());
-        const auto& ch = inst.chain();
-        const Slot first = inst.finalized_count() + 1;
-        for (Slot s = first; s < first + 4; ++s) {
-          const auto nz = ch.notarized(s);
-          if (!nz) {
-            std::fprintf(stderr, "  slot %llu: no notarization\n",
-                         static_cast<unsigned long long>(s));
-            continue;
-          }
-          const auto* blk = ch.find_block(s, nz->hash);
-          std::fprintf(stderr,
-                       "  slot %llu: notarized view=%llu hash=%016llx block=%s parent=%016llx"
-                       " want_parent=%016llx\n",
-                       static_cast<unsigned long long>(s),
-                       static_cast<unsigned long long>(nz->view),
-                       static_cast<unsigned long long>(nz->hash), blk ? "yes" : "MISSING",
-                       blk ? static_cast<unsigned long long>(blk->parent_hash) : 0ULL,
-                       static_cast<unsigned long long>(
-                           s == first ? ch.finalized_tip_hash()
-                                      : (ch.notarized(s - 1) ? ch.notarized(s - 1)->hash
-                                                             : 0)));
-        }
-        for (const auto& e : inst.mempool().entries()) {
-          std::fprintf(stderr,
-                       "  tx hash=%016llx size=%zu inflight=%d slot=%llu hold_until=%lld\n",
-                       static_cast<unsigned long long>(e.hash), e.tx.size(), e.inflight,
-                       static_cast<unsigned long long>(e.slot),
-                       static_cast<long long>(e.hold_until));
-        }
-      }
-    }
-  }
-
   v.report = tracker.report(v.elapsed);
   v.drained = tracker.admitted() > 0 && tracker.all_admitted_committed();
   v.progressed = v.report.committed > 0;
@@ -335,6 +279,7 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
     }
   }
   v.trace_digest = simu->trace().digest();
+  if (!v.ok()) dump_replicas(*simu, muxes);
   return v;
 }
 

@@ -22,6 +22,7 @@
 
 #include "common/types.hpp"
 #include "sim/network.hpp"
+#include "workload/scenarios.hpp"
 
 namespace tbft::chaos {
 
@@ -40,7 +41,7 @@ enum class ByzRole : std::uint8_t {
   kEquivocator,  // equivocates re-proposals during view change
 };
 
-enum class LoadShape : std::uint8_t { kOpenSteady, kOpenBurst, kClosedLoop };
+using workload::LoadShape;
 
 /// One node-churn window: crash at down_at, restart (through the
 /// src/storage/ recovery path) at up_at.

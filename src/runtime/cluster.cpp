@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "shard/replica.hpp"
+
 namespace tbft {
 
 // ---- detail::CommitHub -----------------------------------------------------
@@ -40,12 +42,6 @@ std::vector<multishot::MultishotNode*> detail::Replicas::shard_instances(std::ui
   return out;
 }
 
-std::uint32_t detail::Replicas::route(std::span<const std::uint8_t> tx) const {
-  if (shards() == 1) return 0;
-  const auto tag = workload::parse_request_tag(tx);
-  return tag ? router_.shard_of(*tag) : 0;
-}
-
 // ---- Cluster ---------------------------------------------------------------
 
 Cluster::~Cluster() { stop(); }
@@ -79,7 +75,7 @@ bool Cluster::wait_for(const std::function<bool()>& pred, runtime::Duration time
 
 void Cluster::submit(NodeId id, std::vector<std::uint8_t> tx) {
   shard::ShardMux* mux = muxes_.at(id);
-  const std::uint32_t shard = route(tx);
+  const std::uint32_t shard = router_.route(tx);
   auto fn = [mux, shard, tx = std::move(tx)]() mutable {
     mux->submit(shard, std::move(tx));
   };
@@ -305,27 +301,12 @@ std::unique_ptr<shard::ShardMux> ClusterBuilder::make_replica(
   opts.segment_bytes = wal_segment_bytes_;
   opts.flush_every = wal_flush_every_;
   opts.checkpoint_every = checkpoint_every_;
-  std::vector<std::unique_ptr<multishot::MultishotNode>> instances;
-  auto& durables = into.durables_.emplace_back();
-  for (std::uint32_t k = 0; k < shards_; ++k) {
-    auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
-    if (!data_dir_.empty()) {
-      // S = 1 keeps the single-chain layout; S > 1 nests one dir per shard.
-      std::filesystem::path dir = std::filesystem::path(data_dir_) / ("node-" + std::to_string(id));
-      if (shards_ > 1) dir /= "shard-" + std::to_string(k);
-      auto durable = std::make_unique<storage::DurableChain>(dir.string(), opts);
-      storage::RecoveredState rec = durable->recover();
-      if (rec.tip() > 0 || !rec.commit_state.empty()) {
-        node->restore_chain(rec.checkpoint, rec.commit_state, std::move(rec.tail));
-      }
-      node->set_durable(durable.get());
-      durables.push_back(std::move(durable));
-    }
-    instances.push_back(std::move(node));
-  }
-  auto mux = std::make_unique<shard::ShardMux>(std::move(instances));
-  into.muxes_.push_back(mux.get());
-  return mux;
+  const std::filesystem::path dir =
+      data_dir_.empty() ? std::filesystem::path{} : shard::node_dir(data_dir_, id);
+  shard::Replica r = shard::make_replica(node_cfg, shards_, dir, opts);
+  into.durables_.push_back(std::move(r.durables));
+  into.muxes_.push_back(r.mux.get());
+  return std::move(r.mux);
 }
 
 std::unique_ptr<Cluster> ClusterBuilder::build_local() const {

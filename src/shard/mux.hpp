@@ -25,7 +25,7 @@
 //    stream in shard order at on_start (deterministic across backends).
 //  - metrics() forwards to the outer per-host registry: counters and
 //    histograms aggregate across shards by construction, which is exactly
-//    what cross-shard accounting wants (shard/tracker.hpp).
+//    what cross-shard accounting wants (workload/tracker.hpp).
 //
 // At S = 1 the mux is a pass-through: the lone instance uses the outer
 // rng() itself and its timer ids fire straight through (no fork, no map),

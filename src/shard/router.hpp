@@ -5,7 +5,8 @@
 // A request's home shard is a pure function of its workload tag
 // (`(client << 32) | seq`, see workload/request.hpp): `shard_of(tag) =
 // mix64(tag) % shards`. Everything that must agree on request placement --
-// submit ports, client retries, the cross-shard tracker, the benches --
+// submit ports (route(tx): the facade's and the chaos engine's), client
+// retries, workload::WorkloadTracker's cross-shard ledger, the benches --
 // derives the shard from the tag through this one function, so a request
 // can never commit on two shards by mis-routing.
 //
@@ -18,8 +19,10 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 
 #include "common/rng.hpp"
+#include "workload/request.hpp"
 
 namespace tbft::shard {
 
@@ -57,6 +60,14 @@ class ShardRouter {
   /// sequence numbers from one client spread across all shards.
   [[nodiscard]] std::uint32_t shard_of(std::uint64_t tag) const noexcept {
     return static_cast<std::uint32_t>(mix64(tag) % shards_);
+  }
+
+  /// Home shard of request bytes `tx`: its tag's shard, 0 for bytes without
+  /// a request tag. S = 1 skips the tag parse.
+  [[nodiscard]] std::uint32_t route(std::span<const std::uint8_t> tx) const {
+    if (shards_ == 1) return 0;
+    const auto tag = workload::parse_request_tag(tx);
+    return tag ? shard_of(*tag) : 0;
   }
 
  private:

@@ -39,7 +39,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -104,10 +103,6 @@ class Replicas {
  protected:
   friend class tbft::ClusterBuilder;
   explicit Replicas(std::uint32_t shards) : router_(shards) {}
-
-  /// The home shard of request `tx`: its tag's shard, 0 for bytes without a
-  /// request tag. S = 1 skips the tag parse.
-  [[nodiscard]] std::uint32_t route(std::span<const std::uint8_t> tx) const;
 
   shard::ShardRouter router_;
   std::vector<shard::ShardMux*> muxes_;  // owned by the host
@@ -180,7 +175,7 @@ class SimCluster : public detail::Replicas {
   /// (direct call: the simulation is single-threaded). Returns mempool
   /// admission.
   bool submit(NodeId id, std::vector<std::uint8_t> tx) {
-    const std::uint32_t shard = route(tx);
+    const std::uint32_t shard = router_.route(tx);
     return muxes_.at(id)->submit(shard, std::move(tx));
   }
 

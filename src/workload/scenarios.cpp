@@ -22,6 +22,35 @@ bool WorkloadRig::chains_consistent() const {
   return multishot::chains_prefix_consistent(nodes);
 }
 
+void add_clients(sim::Simulation& sim, const ClientLoad& load,
+                 const std::vector<SubmitPort*>& targets, TrackerSink& tracker) {
+  TBFT_ASSERT_MSG(!targets.empty(), "client load needs at least one target replica");
+  for (std::uint32_t c = 0; c < load.clients; ++c) {
+    ClientConfig base = load.base;
+    base.client_id = c;
+    std::vector<SubmitPort*> rotated;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      rotated.push_back(targets[(c + i) % targets.size()]);
+    }
+    if (load.shape == LoadShape::kClosedLoop) {
+      ClosedLoopConfig cl;
+      cl.base = base;
+      cl.outstanding = load.outstanding;
+      sim.add_client(std::make_unique<ClosedLoopClient>(cl, std::move(rotated), tracker));
+    } else {
+      OpenLoopConfig ol;
+      ol.base = base;
+      ol.rate_per_sec = load.rate_per_sec;
+      if (load.shape == LoadShape::kOpenBurst) {
+        ol.burst_period = (base.stop - base.start) / 4;
+        ol.burst_duty = 0.25;
+        ol.burst_multiplier = 4.0;
+      }
+      sim.add_client(std::make_unique<OpenLoopClient>(ol, std::move(rotated), tracker));
+    }
+  }
+}
+
 WorkloadRig make_rig(const ScenarioOptions& opts) {
   WorkloadRig rig;
 
@@ -100,37 +129,18 @@ WorkloadRig make_rig(const ScenarioOptions& opts) {
       honest.push_back(rig.ports.back().get());
     }
   }
-  TBFT_ASSERT_MSG(!honest.empty(), "a workload scenario needs at least one honest node");
 
-  for (std::uint32_t c = 0; c < opts.clients; ++c) {
-    ClientConfig base;
-    base.client_id = c;
-    base.request_bytes = opts.request_bytes;
-    base.start = 0;
-    base.stop = opts.load_duration;
-    base.retry_timeout = opts.client_retry_timeout;
-    // Stagger round-robin start points so clients spread across nodes.
-    std::vector<SubmitPort*> targets;
-    for (std::size_t i = 0; i < honest.size(); ++i) {
-      targets.push_back(honest[(c + i) % honest.size()]);
-    }
-    if (opts.closed_loop) {
-      ClosedLoopConfig cl;
-      cl.base = base;
-      cl.outstanding = opts.outstanding;
-      rig.sim->add_client(std::make_unique<ClosedLoopClient>(cl, targets, *rig.tracker));
-    } else {
-      OpenLoopConfig ol;
-      ol.base = base;
-      ol.rate_per_sec = opts.rate_per_sec;
-      if (opts.preset == Preset::kBurst) {
-        ol.burst_period = opts.load_duration / 4;
-        ol.burst_duty = 0.25;
-        ol.burst_multiplier = 4.0;
-      }
-      rig.sim->add_client(std::make_unique<OpenLoopClient>(ol, targets, *rig.tracker));
-    }
-  }
+  ClientLoad load;
+  load.shape = opts.closed_loop                  ? LoadShape::kClosedLoop
+               : opts.preset == Preset::kBurst ? LoadShape::kOpenBurst
+                                               : LoadShape::kOpenSteady;
+  load.clients = opts.clients;
+  load.base.request_bytes = opts.request_bytes;
+  load.base.stop = opts.load_duration;
+  load.base.retry_timeout = opts.client_retry_timeout;
+  load.rate_per_sec = opts.rate_per_sec;
+  load.outstanding = opts.outstanding;
+  add_clients(*rig.sim, load, honest, *rig.tracker);
   return rig;
 }
 

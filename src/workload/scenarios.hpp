@@ -70,6 +70,28 @@ struct ScenarioOptions {
   runtime::Duration client_retry_timeout{0};
 };
 
+/// Open-loop arrivals (steady or bursty), or a closed loop keeping k
+/// requests outstanding per client.
+enum class LoadShape : std::uint8_t { kOpenSteady, kOpenBurst, kClosedLoop };
+
+/// The client load a simulated run attaches (add_clients).
+struct ClientLoad {
+  LoadShape shape{LoadShape::kOpenSteady};
+  std::uint32_t clients{2};
+  /// Shared by every client; add_clients sets each client_id.
+  ClientConfig base;
+  double rate_per_sec{1000.0};   // per open-loop client
+  std::uint32_t outstanding{4};  // per closed-loop client
+};
+
+/// Add `load.clients` generators to `sim` as client actors, in client-id
+/// order. Client c submits round-robin over `targets` starting at
+/// targets[c % size], so clients spread across replicas. kOpenBurst runs
+/// each quarter of the submission window at 4x the rate for its first
+/// quarter.
+void add_clients(sim::Simulation& sim, const ClientLoad& load,
+                 const std::vector<SubmitPort*>& targets, TrackerSink& tracker);
+
 /// A wired run for tests that drive the simulation themselves. Actor
 /// pointers are owned by `sim`.
 struct WorkloadRig {

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/assert.hpp"
 #include "workload/request.hpp"
 
 namespace tbft::workload {
@@ -19,10 +20,12 @@ void WorkloadReport::print(const char* title) const {
               duplicates != 0 ? "  DUPLICATES" : "", foreign != 0 ? "  FOREIGN" : "");
 }
 
-void WorkloadTracker::observe(multishot::MultishotNode& node) {
-  const std::size_t observer = add_observer();
-  node.set_commit_hook([this, observer](const multishot::Block& b, runtime::Time at) {
-    on_finalized(observer, b, at);
+void WorkloadTracker::observe(multishot::MultishotNode& node, std::uint32_t shard) {
+  TBFT_ASSERT_MSG(shard < router_.shards(), "observed shard outside the tracker's shard count");
+  const std::size_t observer = seen_.size();
+  seen_.emplace_back();
+  node.set_commit_hook([this, observer, shard](const multishot::Block& b, runtime::Time at) {
+    on_finalized(observer, shard, b, at);
   });
 }
 
@@ -53,8 +56,8 @@ void WorkloadTracker::on_retry(std::uint64_t tag, runtime::Time at, bool admitte
   }
 }
 
-void WorkloadTracker::on_finalized(std::size_t observer, const multishot::Block& b,
-                                   runtime::Time at) {
+void WorkloadTracker::on_finalized(std::size_t observer, std::uint32_t shard,
+                                   const multishot::Block& b, runtime::Time at) {
   for (const std::uint64_t tag : extract_request_tags(b.payload)) {
     if (!seen_[observer].insert(tag).second) {
       // A retried tag landing twice in one chain is the at-least-once
@@ -75,9 +78,22 @@ void WorkloadTracker::on_finalized(std::size_t observer, const multishot::Block&
       metrics_.counter("workload.foreign").add();
       continue;
     }
-    const auto [cit, first] = commit_time_.emplace(tag, at);
-    if (!first) continue;  // an earlier observer already committed it
+    const auto [cit, first] = first_commit_.emplace(tag, FirstCommit{at, shard});
+    if (!first) {
+      // An earlier observer already committed it: fine on the same shard,
+      // a sharded double-spend on any other.
+      if (cit->second.shard != shard) {
+        ++cross_shard_commits_;
+        metrics_.counter("shard.cross_shard_commits").add();
+      }
+      continue;
+    }
+    if (shard != router_.shard_of(tag)) {
+      ++misrouted_commits_;
+      metrics_.counter("shard.misrouted_commits").add();
+    }
     ++committed_;
+    ++shard_committed_[shard];
     metrics_.counter("workload.committed").add();
     metrics_.histogram("workload.commit_latency_ms")
         .record(static_cast<double>(at - sit->second) / runtime::kMillisecond);

@@ -2,7 +2,9 @@
 // End-to-end commit accounting for the workload engine: every request is
 // tracked from submission (generator -> node mempool) through commit (the
 // block carrying it finalizes at an observed node), feeding the run's
-// MetricsRegistry and a WorkloadReport summary.
+// MetricsRegistry and a WorkloadReport summary. One tracker serves a
+// cluster of any shard count S (DESIGN_PERF.md "Sharding"); S = 1 is the
+// single chain.
 //
 // Accounting rules:
 //  - a request "commits" the first time any observed node finalizes a block
@@ -10,6 +12,11 @@
 //  - per observer, a tag appearing twice in the finalized chain is a
 //    double-commit (duplicates); a tag never submitted is foreign -- both
 //    break the exactly-once contract bench_workload enforces by exit code;
+//  - the first commit also records its shard: a tag first committed on a
+//    shard other than its home (shard::ShardRouter::shard_of) is a
+//    misrouted commit, and a later commit of the same tag on a different
+//    shard is a cross-shard commit -- each shard's chain may look clean in
+//    isolation, so only this ledger sees either;
 //  - client-side retries re-submit an existing tag (on_retry): the
 //    duplicate *submission* is absorbed -- submitted/admitted stay keyed by
 //    tag, latency runs from the first admission -- and a double-commit of a
@@ -17,6 +24,9 @@
 //    window retries open), not as an exactly-once violation;
 //  - closed-loop generators learn about completions through per-client
 //    listeners, called once per committed request of that client.
+//
+// NOT thread-safe: sim-side accounting only. Threaded benches (bench_socket,
+// bench_sharding over LocalRunner) account under the facade's commit lock.
 
 #include <cstdint>
 #include <functional>
@@ -27,6 +37,7 @@
 #include "common/metrics.hpp"
 #include "multishot/node.hpp"
 #include "runtime/time.hpp"
+#include "shard/router.hpp"
 
 namespace tbft::workload {
 
@@ -62,10 +73,8 @@ struct WorkloadReport {
   void print(const char* title) const;
 };
 
-/// The accounting surface generators talk to. One chain has one
-/// WorkloadTracker behind it; a sharded cluster has a shard::ShardedTracker
-/// that routes each tag to its home shard's tracker and keeps the
-/// cross-shard exactly-once ledger. Generators cannot tell the difference.
+/// The accounting surface generators talk to: WorkloadTracker in-tree, an
+/// external f+1 commit ledger in the end-to-end benchmark.
 class TrackerSink {
  public:
   virtual ~TrackerSink() = default;
@@ -77,25 +86,14 @@ class TrackerSink {
 
 class WorkloadTracker final : public TrackerSink {
  public:
-  explicit WorkloadTracker(MetricsRegistry& metrics) : metrics_(metrics) {}
+  /// Books for a cluster of `shards` key-routed chains (1 = single chain).
+  explicit WorkloadTracker(MetricsRegistry& metrics, std::uint32_t shards = 1)
+      : metrics_(metrics), router_(shards), shard_committed_(shards, 0) {}
 
-  /// Install this tracker as `node`'s commit hook. Observe every honest node
-  /// so per-chain double-commits are caught wherever they surface.
-  void observe(multishot::MultishotNode& node);
-
-  /// Observer registration without installing a hook: callers that need to
-  /// wrap the commit hook themselves (shard::ShardedTracker chains a
-  /// cross-shard ledger in front) allocate a slot here and feed finalized
-  /// blocks through on_finalized with it.
-  std::size_t add_observer() {
-    seen_.emplace_back();
-    return observers_++;
-  }
-
-  /// Account one finalized block as seen by `observer` (a slot from
-  /// add_observer / observe). Public for hook-wrapping callers; ordinary
-  /// users go through observe().
-  void on_finalized(std::size_t observer, const multishot::Block& b, runtime::Time at);
+  /// Install this tracker as `node`'s commit hook, as a replica of `shard`.
+  /// Observe every honest instance so per-chain double-commits are caught
+  /// wherever they surface; re-observe a restarted replica's new instances.
+  void observe(multishot::MultishotNode& node, std::uint32_t shard = 0);
 
   /// Generators report every submission attempt here.
   void on_submitted(std::uint64_t tag, runtime::Time at, bool admitted) override;
@@ -125,8 +123,22 @@ class WorkloadTracker final : public TrackerSink {
   [[nodiscard]] bool all_admitted_committed() const noexcept {
     return committed_ == admitted_;
   }
+  /// Tags whose first commit landed on a shard other than their home.
+  [[nodiscard]] std::uint64_t misrouted_commits() const noexcept { return misrouted_commits_; }
+  /// Commits of an already-committed tag on a different shard than its
+  /// first commit (counted per observer that sees one).
+  [[nodiscard]] std::uint64_t cross_shard_commits() const noexcept {
+    return cross_shard_commits_;
+  }
+  /// Requests whose first commit landed on `shard`.
+  [[nodiscard]] std::uint64_t committed(std::uint32_t shard) const {
+    return shard_committed_.at(shard);
+  }
+  /// Exactly-once across the cluster: no double-commits, no foreign tags,
+  /// no misrouted or cross-shard commits.
   [[nodiscard]] bool exactly_once() const noexcept {
-    return duplicates_ == 0 && foreign_ == 0;
+    return duplicates_ == 0 && foreign_ == 0 && misrouted_commits_ == 0 &&
+           cross_shard_commits_ == 0;
   }
 
   /// Summarize the run; `elapsed` is the wall (simulated) time the
@@ -134,12 +146,21 @@ class WorkloadTracker final : public TrackerSink {
   [[nodiscard]] WorkloadReport report(runtime::Time elapsed) const;
 
  private:
+  struct FirstCommit {
+    runtime::Time at;
+    std::uint32_t shard;
+  };
+
+  void on_finalized(std::size_t observer, std::uint32_t shard, const multishot::Block& b,
+                    runtime::Time at);
+
   MetricsRegistry& metrics_;
-  std::size_t observers_{0};
+  shard::ShardRouter router_;
   std::map<std::uint64_t, runtime::Time> submit_time_;  // admitted requests
-  std::map<std::uint64_t, runtime::Time> commit_time_;  // first commit anywhere
-  std::vector<std::set<std::uint64_t>> seen_;          // per observer
-  std::set<std::uint64_t> retried_tags_;               // tags ever re-submitted
+  std::map<std::uint64_t, FirstCommit> first_commit_;   // first commit anywhere
+  std::vector<std::set<std::uint64_t>> seen_;           // per observer
+  std::set<std::uint64_t> retried_tags_;                // tags ever re-submitted
+  std::vector<std::uint64_t> shard_committed_;          // first commits per shard
   std::map<std::uint32_t, std::function<void(std::uint64_t)>> listeners_;
   std::uint64_t submitted_{0};
   std::uint64_t admitted_{0};
@@ -149,6 +170,8 @@ class WorkloadTracker final : public TrackerSink {
   std::uint64_t foreign_{0};
   std::uint64_t retried_{0};
   std::uint64_t retry_duplicates_{0};
+  std::uint64_t misrouted_commits_{0};
+  std::uint64_t cross_shard_commits_{0};
 };
 
 }  // namespace tbft::workload

@@ -135,6 +135,20 @@ TEST(ChaosEngine, SameSeedSameTrace) {
   EXPECT_EQ(va.report.retried, vb.report.retried);
 }
 
+TEST(ChaosEngine, FailingVerdictDumpsReplicaState) {
+  // A drain deadline inside the load window cannot be met: the verdict
+  // fails, and the reproducer's stderr carries every live replica's state.
+  ScenarioPlan plan = draw_plan(7);
+  plan.drain_deadline = plan.load_duration / 2;
+  TempDir dir("dump");
+  testing::internal::CaptureStderr();
+  const ChaosVerdict v = run_plan(plan, dir.path);
+  const std::string dump = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(v.failure(), "undrained");
+  EXPECT_NE(dump.find("node 0 shard 0: finalized="), std::string::npos) << dump;
+  EXPECT_NE(dump.find("node 0 shard 1: finalized="), std::string::npos) << dump;
+}
+
 TEST(ChaosEngine, ChurnSeedRecoversAndPasses) {
   // First seed whose plan churns a replica: the run must crash, restart
   // through the storage recovery path, and still drain safely.

@@ -3,8 +3,9 @@
 // stream keying, the S=4 cross-backend equivalence suite (the same routed
 // workload committed through the deterministic Simulation and the threaded
 // LocalRunner yields identical per-shard chains), cross-shard exactly-once
-// accounting under generated load, the facade's shard/replica bounds checks, and
-// the n=64-per-shard configuration the large-n sizing fixes enable.
+// accounting under generated load and the ledger that catches misrouted and
+// cross-shard commits, the facade's shard/replica bounds checks, and the
+// n=64-per-shard configuration the large-n sizing fixes enable.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,9 @@
 #include <set>
 #include <vector>
 
-#include "shard/tracker.hpp"
 #include "tetrabft.hpp"
 #include "workload/request.hpp"
+#include "workload/scenarios.hpp"
 
 namespace tbft {
 namespace {
@@ -175,29 +176,23 @@ TEST(Sharding, GeneratedLoadIsExactlyOnceAcrossShards) {
                      .delta_bound(10 * kMillisecond)
                      .batching(16, 4096)
                      .build_sim();
-  shard::ShardedTracker tracker(cluster->simulation().metrics(), kShards);
+  workload::WorkloadTracker tracker(cluster->simulation().metrics(), kShards);
   for (NodeId i = 0; i < kNodes; ++i) {
     for (std::uint32_t k = 0; k < kShards; ++k) {
-      tracker.observe(k, cluster->instance(i, k));
+      tracker.observe(cluster->instance(i, k), k);
     }
   }
   std::vector<workload::SubmitPort*> targets;
   for (NodeId i = 0; i < kNodes; ++i) targets.push_back(&cluster->port(i));
 
   constexpr runtime::Duration kLoad = 300 * kMillisecond;
-  for (std::uint32_t c = 0; c < 2; ++c) {
-    workload::OpenLoopConfig oc;
-    oc.base.client_id = c;
-    oc.base.request_bytes = 48;
-    oc.base.stop = kLoad;
-    oc.base.retry_timeout = 200 * kMillisecond;  // retries stay in the home shard
-    oc.rate_per_sec = 800.0;
-    // Stagger the round-robin start so clients spread over replicas.
-    std::vector<workload::SubmitPort*> rotated(targets.begin() + c, targets.end());
-    rotated.insert(rotated.end(), targets.begin(), targets.begin() + c);
-    cluster->add_client(
-        std::make_unique<workload::OpenLoopClient>(oc, std::move(rotated), tracker));
-  }
+  workload::ClientLoad load;
+  load.clients = 2;
+  load.base.request_bytes = 48;
+  load.base.stop = kLoad;
+  load.base.retry_timeout = 200 * kMillisecond;  // retries stay in the home shard
+  load.rate_per_sec = 800.0;
+  workload::add_clients(cluster->simulation(), load, targets, tracker);
   cluster->start();
   const bool drained = cluster->simulation().run_until_pred(
       [&] {
@@ -216,8 +211,8 @@ TEST(Sharding, GeneratedLoadIsExactlyOnceAcrossShards) {
   // aggregate books reconcile with the per-shard ones.
   std::uint64_t committed_sum = 0;
   for (std::uint32_t k = 0; k < kShards; ++k) {
-    EXPECT_GT(tracker.shard_tracker(k).committed(), 0u) << "idle shard " << k;
-    committed_sum += tracker.shard_tracker(k).committed();
+    EXPECT_GT(tracker.committed(k), 0u) << "idle shard " << k;
+    committed_sum += tracker.committed(k);
   }
   EXPECT_EQ(committed_sum, tracker.committed());
   const workload::WorkloadReport report = tracker.report(cluster->simulation().now());
@@ -230,28 +225,92 @@ TEST(Sharding, GeneratedLoadIsExactlyOnceAcrossShards) {
   }
 }
 
-TEST(Sharding, TrackerRoutesSubmissionsToHomeShardBooks) {
-  MetricsRegistry metrics;
-  shard::ShardedTracker tracker(metrics, kShards);
-  for (std::uint32_t j = 0; j < 64; ++j) {
-    const std::uint64_t tag = workload::request_tag(3, j);
-    tracker.on_submitted(tag, /*at=*/j, /*admitted=*/true);
-    const std::uint32_t home = tracker.router().shard_of(tag);
-    EXPECT_GE(tracker.shard_tracker(home).submitted(), 1u);
+TEST(Sharding, TrackerLedgerCatchesMisroutedAndCrossShardCommits) {
+  // The books are cluster-wide: submissions and retries land in one ledger
+  // whatever the tag's home shard.
+  {
+    MetricsRegistry metrics;
+    workload::WorkloadTracker tracker(metrics, kShards);
+    for (std::uint32_t j = 0; j < 64; ++j) {
+      tracker.on_submitted(workload::request_tag(3, j), /*at=*/j, /*admitted=*/true);
+    }
+    EXPECT_EQ(tracker.submitted(), 64u);
+    EXPECT_EQ(tracker.admitted(), 64u);
+    EXPECT_EQ(tracker.outstanding(), 64u);
+    // A rejected retry of a known tag is absorbed.
+    tracker.on_retry(workload::request_tag(3, 0), /*at=*/100, /*admitted=*/false);
+    EXPECT_EQ(tracker.retried(), 1u);
+    EXPECT_EQ(tracker.admitted(), 64u);
   }
-  EXPECT_EQ(tracker.submitted(), 64u);
-  EXPECT_EQ(tracker.admitted(), 64u);
-  EXPECT_EQ(tracker.outstanding(), 64u);
-  std::uint64_t per_shard = 0;
-  for (std::uint32_t k = 0; k < kShards; ++k) {
-    per_shard += tracker.shard_tracker(k).submitted();
-  }
-  EXPECT_EQ(per_shard, 64u);
-  // A rejected retry of a known tag stays absorbed in its home shard.
-  const std::uint64_t tag = workload::request_tag(3, 0);
-  tracker.on_retry(tag, /*at=*/100, /*admitted=*/false);
-  EXPECT_EQ(tracker.retried(), 1u);
-  EXPECT_EQ(tracker.shard_tracker(tracker.router().shard_of(tag)).retried(), 1u);
+
+  // Commit one request straight into shard instances (bypassing the routed
+  // port) and let the ledger judge where it landed.
+  constexpr std::uint32_t kTwo = 2;
+  const shard::ShardRouter router(kTwo);
+  const std::vector<std::uint8_t> tx = routed_tx(0);
+  const std::uint32_t home = router.shard_of(workload::request_tag(9, 0));
+  const std::uint32_t away = 1 - home;
+  struct Run {
+    std::unique_ptr<SimCluster> cluster;
+    std::unique_ptr<workload::WorkloadTracker> tracker;
+
+    // Submit `tx` to replica 0's instance of `shard` and run until every
+    // replica finalized it there.
+    void commit_on(std::uint32_t shard, const std::vector<std::uint8_t>& tx) {
+      ASSERT_TRUE(cluster->instance(0, shard).submit_tx(tx));
+      ASSERT_TRUE(cluster->simulation().run_until_pred(
+          [&] {
+            for (NodeId i = 0; i < kNodes; ++i) {
+              if (!cluster->instance(i, shard).tx_finalized(tx)) return false;
+            }
+            return true;
+          },
+          cluster->simulation().now() + 30 * kSecond));
+    }
+  };
+  const auto start_run = [&] {
+    Run run;
+    run.cluster = ClusterBuilder{}
+                      .nodes(kNodes)
+                      .shards(kTwo)
+                      .seed(5)
+                      .delta_bound(10 * kMillisecond)
+                      .build_sim();
+    run.tracker = std::make_unique<workload::WorkloadTracker>(
+        run.cluster->simulation().metrics(), kTwo);
+    for (NodeId i = 0; i < kNodes; ++i) {
+      for (std::uint32_t k = 0; k < kTwo; ++k) {
+        run.tracker->observe(run.cluster->instance(i, k), k);
+      }
+    }
+    run.tracker->on_submitted(workload::request_tag(9, 0), /*at=*/0, /*admitted=*/true);
+    run.cluster->start();
+    return run;
+  };
+
+  // First commit on a shard that is not the tag's home: misrouted.
+  Run misrouted = start_run();
+  misrouted.commit_on(away, tx);
+  EXPECT_EQ(misrouted.tracker->misrouted_commits(), 1u);
+  EXPECT_EQ(misrouted.tracker->cross_shard_commits(), 0u);
+  EXPECT_EQ(misrouted.tracker->committed(away), 1u);
+  EXPECT_EQ(misrouted.tracker->duplicates(), 0u);
+  EXPECT_EQ(misrouted.tracker->foreign(), 0u);
+  EXPECT_FALSE(misrouted.tracker->exactly_once());
+
+  // Home first, then the same tag on a second shard: cross-shard, once per
+  // observer of the second shard.
+  Run cross = start_run();
+  cross.commit_on(home, tx);
+  EXPECT_TRUE(cross.tracker->exactly_once());
+  EXPECT_EQ(cross.tracker->committed(home), 1u);
+  cross.commit_on(away, tx);
+  EXPECT_EQ(cross.tracker->misrouted_commits(), 0u);
+  EXPECT_EQ(cross.tracker->cross_shard_commits(), kNodes);
+  EXPECT_EQ(cross.tracker->committed(), 1u);
+  EXPECT_EQ(cross.tracker->duplicates(), 0u);
+  EXPECT_EQ(cross.tracker->foreign(), 0u);
+  EXPECT_FALSE(cross.tracker->exactly_once());
 }
 
 TEST(Sharding, NonRequestBytesRouteToShardZero) {
