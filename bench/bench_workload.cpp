@@ -52,16 +52,12 @@ int main(int argc, char** argv) {
     workload::ScenarioOptions opts;
     opts.preset = preset;
     opts.closed_loop = closed_loop;
-    opts.seed = seed;
-    opts.n = n;
-    opts.f = (n - 1) / 3;
+    opts.cluster.seed(seed).nodes(n).batching(batch_txs, batch_bytes);
     opts.load_duration = static_cast<sim::SimTime>(duration_ms) * sim::kMillisecond;
     opts.rate_per_sec = rate;
     opts.clients = clients;
     opts.outstanding = outstanding;
     opts.request_bytes = request_bytes;
-    opts.max_batch_txs = batch_txs;
-    opts.max_batch_bytes = batch_bytes;
     return opts;
   };
 
@@ -152,9 +148,8 @@ int main(int argc, char** argv) {
         } else {
           auto opts = base_opts(Preset::kSteadyState, false);
           opts.rate_per_sec = r;
-          opts.max_batch_txs = b;
-          opts.pipeline_depth = d;
-          if (d > 1) opts.adaptive_batch_txs = b * 16;
+          opts.cluster.batching(b, batch_bytes).pipelining(d);
+          if (d > 1) opts.cluster.adaptive_batching(b * 16);
           const auto res = workload::run_scenario(opts);
           if (!res.report.exactly_once() || !res.all_admitted_committed ||
               !res.chains_consistent) {

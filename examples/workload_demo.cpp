@@ -17,7 +17,7 @@ using namespace tbft;
 int main() {
   workload::ScenarioOptions opts;
   opts.preset = workload::Preset::kSteadyState;
-  opts.seed = 7;
+  opts.cluster.seed(7);
   opts.load_duration = 300 * sim::kMillisecond;
   opts.rate_per_sec = 1000;
   opts.clients = 2;

@@ -9,11 +9,8 @@
 
 #include "common/assert.hpp"
 #include "multishot/node.hpp"
-#include "shard/mux.hpp"
-#include "shard/replica.hpp"
 #include "sim/adversary.hpp"
-#include "sim/runtime.hpp"
-#include "storage/durable_chain.hpp"
+#include "tetrabft.hpp"
 #include "workload/scenarios.hpp"
 
 namespace tbft::chaos {
@@ -30,6 +27,8 @@ std::string ChaosVerdict::failure() const {
   if (!chains_consistent) add("chain-divergence");
   if (report.duplicates != 0) add("double-commit");
   if (report.foreign != 0) add("foreign-commit");
+  if (report.misrouted != 0) add("misrouted-commit");
+  if (report.cross_shard != 0) add("cross-shard-commit");
   if (report.retry_duplicates > report.retried * observers) add("retry-dup-overflow");
   if (!drained) add("undrained");
   if (!progressed) add("no-progress");
@@ -37,21 +36,6 @@ std::string ChaosVerdict::failure() const {
 }
 
 namespace {
-
-/// Submission port that tracks the replica across crash/restart and routes
-/// each request to its home shard on the live mux. Submissions while the
-/// node is down are rejected (backpressure), exactly like a dead TCP
-/// endpoint, and resume against the recovered mux.
-struct LivePort final : workload::SubmitPort {
-  LivePort(shard::ShardMux** slot, std::uint32_t shards) : slot_(slot), router_(shards) {}
-  bool submit(std::vector<std::uint8_t> tx) override {
-    if (*slot_ == nullptr) return false;
-    const std::uint32_t shard = router_.route(tx);
-    return (*slot_)->submit(shard, std::move(tx));
-  }
-  shard::ShardMux** slot_;
-  shard::ShardRouter router_;
-};
 
 /// Confines a single-chain Byzantine adversary to shard 0 of a sharded run:
 /// only route-0 traffic reaches it (its own sends are untagged, so they land
@@ -76,26 +60,20 @@ struct ShardZeroAdversary final : runtime::ProtocolNode {
   std::unique_ptr<runtime::ProtocolNode> inner_;
 };
 
-storage::DurableOptions durable_options() {
-  storage::DurableOptions o;
-  o.checkpoint_every = 16;
-  o.flush_every = 1;
-  o.segment_bytes = 32u << 10;
-  return o;
-}
-
 /// Per-replica state for the failure dump: finalized counts, the first
 /// unfinalized slots' notarizations, and every mempool entry.
-void dump_replicas(sim::Simulation& simu, const std::vector<shard::ShardMux*>& muxes) {
-  auto& mx = simu.metrics();
+void dump_replicas(SimCluster& cluster) {
+  auto& mx = cluster.simulation().metrics();
   std::fprintf(stderr, "blockreq sent=%llu served=%llu adopted=%llu\n",
                static_cast<unsigned long long>(mx.counter("multishot.blockreq.sent").value()),
                static_cast<unsigned long long>(mx.counter("multishot.blockreq.served").value()),
                static_cast<unsigned long long>(mx.counter("multishot.blockreq.adopted").value()));
-  for (NodeId i = 0; i < muxes.size(); ++i) {
-    if (muxes[i] == nullptr) continue;
-    for (std::uint32_t k = 0; k < muxes[i]->shards(); ++k) {
-      const auto& inst = muxes[i]->instance(k);
+  std::vector<std::vector<multishot::MultishotNode*>> shards;
+  for (std::uint32_t k = 0; k < cluster.shards(); ++k) shards.push_back(cluster.shard_instances(k));
+  for (NodeId i = 0; i < cluster.size(); ++i) {
+    for (std::uint32_t k = 0; k < cluster.shards(); ++k) {
+      if (shards[k][i] == nullptr) continue;
+      const auto& inst = *shards[k][i];
       std::fprintf(stderr, "node %u shard %u: finalized=%llu pool=%zu\n", i, k,
                    static_cast<unsigned long long>(inst.finalized_count()),
                    inst.mempool().size());
@@ -135,89 +113,75 @@ void dump_replicas(sim::Simulation& simu, const std::vector<shard::ShardMux*>& m
 ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   TBFT_ASSERT_MSG(plan.roles.size() == plan.n, "plan roles not sized n");
 
-  sim::SimConfig sc;
-  sc.seed = plan.seed;
-  sc.net.gst = 0;  // synchronous from the start: all chaos is scheduled, not stochastic
-  sc.net.delta_bound = plan.delta_bound;
-  sc.net.delta_actual = std::max<sim::SimTime>(1, plan.delta_bound / 10);
-  sc.net.delta_min = sc.net.delta_actual;
-  auto simu = std::make_unique<sim::Simulation>(sc);
-  simu->network().set_topology(plan.topology);
+  // Every plan starts from empty chains; restarts within the run recover
+  // from what the run itself wrote here.
+  fs::remove_all(work_dir);
+  fs::create_directories(work_dir);
 
-  multishot::MultishotConfig node_cfg;
-  node_cfg.n = plan.n;
-  node_cfg.f = plan.f;
-  node_cfg.delta_bound = plan.delta_bound;
-  node_cfg.max_slots = 0;
-  node_cfg.max_batch_txs = 32;
-  node_cfg.max_batch_bytes = 4096;
-  node_cfg.mempool_capacity = 4096;
-  node_cfg.pipeline_depth = plan.pipeline_depth;
-  node_cfg.adaptive_batch_txs = plan.adaptive_batch_txs;
+  // One builder per plan. The network is synchronous from the start: all
+  // chaos is scheduled, not stochastic. Every value is spelled out, defaults
+  // included: the fuzz corpus's trace digests pin them.
+  ClusterBuilder builder;
+  builder.nodes(plan.n)
+      .faults(plan.f)
+      .shards(plan.shards)
+      .seed(plan.seed)
+      .delta_bound(plan.delta_bound)
+      .sim_delta_actual(std::max<sim::SimTime>(1, plan.delta_bound / 10))
+      .batching(32, 4096)
+      .mempool(4096, multishot::MempoolPolicy::kRejectNew)
+      .pipelining(plan.pipeline_depth)
+      .adaptive_batching(plan.adaptive_batch_txs)
+      .data_dir(work_dir.string())
+      .checkpoint_every(16)
+      .wal_flush_every(1)
+      .wal_segment_bytes(32u << 10);
 
-  ChaosVerdict v;
-
-  // Every honest replica is a ShardMux of S chains (S = 1 is a pass-through,
-  // byte-identical to a bare chain). Mux pointers live here (stable storage:
-  // LivePorts alias the slots); nullptr marks Byzantine roles and crashed
-  // replicas.
-  const std::uint32_t S = plan.shards;
-  std::vector<shard::ShardMux*> muxes(plan.n, nullptr);
-  std::vector<std::vector<std::unique_ptr<storage::DurableChain>>> durables(plan.n);
-  workload::WorkloadTracker tracker(simu->metrics(), S);
-
-  // Build -- or rebuild, recovering whatever durable state its directory
-  // holds -- replica i's honest protocol node.
-  const auto make_honest = [&](NodeId i) -> std::unique_ptr<runtime::ProtocolNode> {
-    shard::Replica r = shard::make_replica(node_cfg, S, shard::node_dir(work_dir, i),
-                                           durable_options());
-    for (std::uint32_t k = 0; k < S; ++k) tracker.observe(r.mux->instance(k), k);
-    durables[i] = std::move(r.durables);
-    muxes[i] = r.mux.get();
-    return std::move(r.mux);
-  };
-
-  // Sharded runs confine each single-chain adversary to shard 0 (see
-  // ShardZeroAdversary); at S = 1 the wrapper is skipped and the historical
-  // byte-identical path runs.
-  const auto add_adversary = [&](std::unique_ptr<runtime::ProtocolNode> node) {
-    if (S > 1) node = std::make_unique<ShardZeroAdversary>(std::move(node));
-    simu->add_node(std::move(node));
-  };
-
-  for (NodeId i = 0; i < plan.n; ++i) {
+  // Byzantine roles stand in for honest replicas. Sharded runs confine each
+  // single-chain adversary to shard 0 (see ShardZeroAdversary); at S = 1 the
+  // wrapper is skipped and the historical byte-identical path runs.
+  const auto stand_in = [&](NodeId i, const multishot::MultishotConfig& cfg) {
+    std::unique_ptr<runtime::ProtocolNode> node;
     switch (plan.roles[i]) {
       case ByzRole::kSilent:
-        add_adversary(std::make_unique<sim::SilentNode>());
+        node = std::make_unique<sim::SilentNode>();
         break;
       case ByzRole::kJunk:
-        add_adversary(std::make_unique<sim::RandomJunkNode>(plan.delta_bound / 2));
+        node = std::make_unique<sim::RandomJunkNode>(plan.delta_bound / 2);
         break;
       case ByzRole::kSlowLoris:
         // Hold each proposal to the timeout edge: victims' 9-Delta view
         // timers are 2 Delta away when the proposal finally ships.
-        add_adversary(std::make_unique<sim::SlowLorisLeader>(node_cfg, 7 * plan.delta_bound));
+        node = std::make_unique<sim::SlowLorisLeader>(cfg, 7 * plan.delta_bound);
         break;
       case ByzRole::kEquivocator:
-        add_adversary(std::make_unique<sim::ViewChangeEquivocator>(node_cfg));
+        node = std::make_unique<sim::ViewChangeEquivocator>(cfg);
         break;
-      case ByzRole::kHonest: {
-        fs::remove_all(shard::node_dir(work_dir, i));
-        simu->add_node(make_honest(i));
-        ++v.observers;
-        break;
-      }
+      case ByzRole::kHonest:
+        return node;
     }
-  }
+    if (plan.shards > 1) node = std::make_unique<ShardZeroAdversary>(std::move(node));
+    return node;
+  };
+  const std::unique_ptr<SimCluster> cluster = builder.build_sim(stand_in);
+  sim::Simulation& simu = cluster->simulation();
+  simu.network().set_topology(plan.topology);
+
+  ChaosVerdict v;
+  const std::uint32_t S = plan.shards;
+  workload::WorkloadTracker tracker(simu.metrics(), S);
+  const auto observe = [&](NodeId i) {
+    for (std::uint32_t k = 0; k < S; ++k) tracker.observe(cluster->instance(i, k), k);
+    ++v.observers;
+  };
 
   // Clients target honest replicas only (their ports survive churn), with
   // staggered round-robin start points, exactly like the workload rig.
-  std::vector<std::unique_ptr<workload::SubmitPort>> ports;
   std::vector<workload::SubmitPort*> honest;
   for (NodeId i = 0; i < plan.n; ++i) {
     if (plan.roles[i] == ByzRole::kHonest) {
-      ports.push_back(std::make_unique<LivePort>(&muxes[i], S));
-      honest.push_back(ports.back().get());
+      observe(i);
+      honest.push_back(&cluster->port(i));
     }
   }
   workload::ClientLoad load;
@@ -228,22 +192,19 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   load.base.retry_timeout = plan.client_retry_timeout;
   load.rate_per_sec = plan.rate_per_sec;
   load.outstanding = plan.outstanding;
-  workload::add_clients(*simu, load, honest, tracker);
+  workload::add_clients(simu, load, honest, tracker);
 
-  simu->start();
+  simu.start();
 
   // --- The churn schedule: crash at down_at, recover from disk at up_at. ---
   for (const ChurnEvent& ev : plan.churn) {
-    simu->run_until(ev.down_at);
-    TBFT_ASSERT_MSG(muxes[ev.node] != nullptr, "churn hit a non-live replica");
-    simu->crash_node(ev.node);
-    muxes[ev.node] = nullptr;
-    durables[ev.node].clear();  // close WAL/checkpoint files, like process death
+    simu.run_until(ev.down_at);
+    cluster->crash(ev.node);
     ++v.crashes;
 
-    simu->run_until(ev.up_at);
-    simu->restart_node(ev.node, make_honest(ev.node));
-    ++v.observers;
+    simu.run_until(ev.up_at);
+    cluster->restart(ev.node);
+    observe(ev.node);
     ++v.restarts;
   }
 
@@ -253,33 +214,30 @@ ChaosVerdict run_plan(const ScenarioPlan& plan, const fs::path& work_dir) {
   // the run ends when everything admitted committed (or at the deadline,
   // which is then a liveness failure).
   const auto drained = [&] {
-    return simu->now() >= plan.load_duration && tracker.admitted() > 0 &&
+    return simu.now() >= plan.load_duration && tracker.admitted() > 0 &&
            tracker.all_admitted_committed();
   };
-  simu->run_until_pred(drained, plan.drain_deadline);
-  v.elapsed = simu->now();
+  simu.run_until_pred(drained, plan.drain_deadline);
+  v.elapsed = simu.now();
   // Let in-flight traffic settle so lagging replicas converge before the
   // consistency check.
-  simu->run_until(simu->now() + 2 * plan.delta_bound);
+  simu.run_until(simu.now() + 2 * plan.delta_bound);
 
   v.report = tracker.report(v.elapsed);
   v.drained = tracker.admitted() > 0 && tracker.all_admitted_committed();
   v.progressed = v.report.committed > 0;
   // Safety is per shard: every shard's chains must agree across the live
-  // muxes (cross-shard commits are the tracker's to catch).
-  v.chains_consistent = tracker.misrouted_commits() == 0 && tracker.cross_shard_commits() == 0;
+  // replicas (cross-shard and misrouted commits are the report's to catch).
+  v.chains_consistent = true;
   for (std::uint32_t k = 0; k < S; ++k) {
-    std::vector<multishot::MultishotNode*> shard_chains;
-    for (auto* mux : muxes) {
-      if (mux != nullptr) shard_chains.push_back(&mux->instance(k));
-    }
+    const std::vector<multishot::MultishotNode*> shard_chains = cluster->shard_instances(k);
     v.chains_consistent = v.chains_consistent && multishot::chains_prefix_consistent(shard_chains);
     for (const auto* chain : shard_chains) {
-      v.max_finalized = std::max(v.max_finalized, chain->finalized_count());
+      if (chain != nullptr) v.max_finalized = std::max(v.max_finalized, chain->finalized_count());
     }
   }
-  v.trace_digest = simu->trace().digest();
-  if (!v.ok()) dump_replicas(*simu, muxes);
+  v.trace_digest = simu.trace().digest();
+  if (!v.ok()) dump_replicas(*cluster);
   return v;
 }
 

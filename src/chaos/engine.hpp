@@ -1,15 +1,18 @@
 #pragma once
 // Chaos engine: runs one ScenarioPlan through the Simulation and renders a
-// verdict. The engine wires the plan's WAN topology into the Network, builds
-// the Byzantine role cast from sim/adversary.hpp, gives every honest replica
-// a durable chain (src/storage/) in the run's work directory, drives the
-// churn schedule through Simulation::crash_node / restart_node -- restarts
-// recover from disk exactly like a rebooted process -- and loads the cluster
-// with the workload generators under exactly-once tracking.
+// verdict. The engine maps the plan onto one ClusterBuilder and builds it
+// with build_sim (tetrabft.hpp): the Byzantine role cast from
+// sim/adversary.hpp are build_sim stand-ins, every honest replica keeps a
+// durable chain (src/storage/) under the run's work directory, the plan's
+// WAN topology goes onto the Network, the churn schedule runs through
+// SimCluster::crash / restart -- restarts recover from disk exactly like a
+// rebooted process -- and the workload generators load the cluster under
+// exactly-once tracking.
 //
 // The verdict asserts, on every run:
 //  - safety: chain-prefix consistency across every honest replica
-//    (Definition 2), zero double-commits, zero foreign commits;
+//    (Definition 2), zero double-commits, zero foreign commits, zero
+//    misrouted or cross-shard commits (each reported under its own name);
 //  - bounded at-least-once spill: double-commits attributable to client
 //    retries stay <= the number of retries (each retry opens at most one
 //    known duplication window);
@@ -43,6 +46,7 @@ struct ChaosVerdict {
   /// flight, each extra commit is seen by every observer.
   [[nodiscard]] bool safe() const {
     return chains_consistent && report.duplicates == 0 && report.foreign == 0 &&
+           report.misrouted == 0 && report.cross_shard == 0 &&
            report.retry_duplicates <= report.retried * observers;
   }
   /// The full pass bar: safe, live after healing, and actually loaded.
@@ -52,8 +56,9 @@ struct ChaosVerdict {
   [[nodiscard]] std::string failure() const;
 };
 
-/// Run the plan; `work_dir` holds the per-node durable chains (created,
-/// reused across crash/restart within the run; caller owns cleanup).
+/// Run the plan; `work_dir` holds the per-node durable chains (emptied and
+/// created at the start, reused across crash/restart within the run;
+/// caller owns cleanup).
 [[nodiscard]] ChaosVerdict run_plan(const ScenarioPlan& plan,
                                     const std::filesystem::path& work_dir);
 

@@ -268,8 +268,14 @@ State Spec::canonicalize(const State& s) const {
       keys[p] = pack(t, p);
       order[p] = p;
     }
-    std::sort(order.begin(), order.begin() + H,
-              [&](int a, int b) { return keys[a] < keys[b]; });
+    // Stable insertion sort: H <= kMaxHonest is tiny (std::sort over the
+    // runtime-length prefix sorts the same way, but GCC's -Warray-bounds
+    // cannot prove its introsort branch dead).
+    for (int i = 1; i < H; ++i) {
+      for (int j = i; j > 0 && keys[order[j]] < keys[order[j - 1]]; --j) {
+        std::swap(order[j], order[j - 1]);
+      }
+    }
     State sorted;
     sorted.votes.fill(0);
     sorted.round.fill(kNoRound);

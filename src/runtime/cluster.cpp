@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "shard/replica.hpp"
-
 namespace tbft {
 
 // ---- detail::CommitHub -----------------------------------------------------
@@ -32,13 +30,20 @@ multishot::MultishotNode& detail::Replicas::instance(NodeId id, std::uint32_t sh
         "tbft: direct replica access while running races the replica thread; "
         "stop() first or use submit()");
   }
-  return muxes_.at(id)->instance(shard);
+  shard::ShardMux* mux = muxes_.at(id);
+  if (mux == nullptr) {
+    throw std::out_of_range("tbft: replica " + std::to_string(id) +
+                            " is a stand-in or down and hosts no chain instance");
+  }
+  return mux->instance(shard);
 }
 
 std::vector<multishot::MultishotNode*> detail::Replicas::shard_instances(std::uint32_t shard) {
   std::vector<multishot::MultishotNode*> out;
   out.reserve(muxes_.size());
-  for (NodeId i = 0; i < size(); ++i) out.push_back(&instance(i, shard));
+  for (NodeId i = 0; i < size(); ++i) {
+    out.push_back(muxes_[i] != nullptr ? &instance(i, shard) : nullptr);
+  }
   return out;
 }
 
@@ -93,10 +98,29 @@ runtime::LocalRunner& Cluster::runner() {
 
 // ---- SimCluster ------------------------------------------------------------
 
+void SimCluster::crash(NodeId id) {
+  if (muxes_.at(id) == nullptr) {
+    throw std::logic_error("SimCluster::crash: replica " + std::to_string(id) +
+                           " is a stand-in or already down");
+  }
+  sim_->crash_node(id);
+  muxes_[id] = nullptr;
+  durables_[id].clear();  // close WAL and checkpoint files, like process death
+}
+
+void SimCluster::restart(NodeId id) {
+  if (muxes_.at(id) != nullptr || !sim_->is_crashed(id)) {
+    throw std::logic_error("SimCluster::restart: replica " + std::to_string(id) +
+                           " is not down");
+  }
+  sim_->restart_node(id, rebuild_(id));
+}
+
 bool SimCluster::run_until_all_finalized(Slot target, runtime::Duration deadline) {
   return sim_->run_until_pred(
       [this, target] {
         for (auto* mux : muxes_) {
+          if (mux == nullptr) continue;
           for (std::uint32_t k = 0; k < shards(); ++k) {
             if (mux->instance(k).finalized_count() < target) return false;
           }
@@ -174,6 +198,11 @@ ClusterBuilder& ClusterBuilder::forwarding(bool on) {
 ClusterBuilder& ClusterBuilder::sim_delta_actual(runtime::Duration delta) {
   if (delta <= 0) throw std::invalid_argument("ClusterBuilder: sim_delta_actual must be > 0");
   sim_delta_actual_ = delta;
+  return *this;
+}
+ClusterBuilder& ClusterBuilder::sim_gst(runtime::Time t) {
+  if (t < 0) throw std::invalid_argument("ClusterBuilder: sim_gst must be >= 0");
+  sim_gst_ = t;
   return *this;
 }
 ClusterBuilder& ClusterBuilder::data_dir(std::string path) {
@@ -295,18 +324,53 @@ multishot::MultishotConfig ClusterBuilder::node_config() const {
   return cfg;
 }
 
+sim::NetworkConfig ClusterBuilder::sim_network() const {
+  sim::NetworkConfig net;
+  net.delta_bound = delta_bound_;
+  net.delta_actual = sim_delta_actual_;
+  net.delta_min = sim_delta_actual_;
+  if (sim_gst_ > 0) {
+    net.gst = sim_gst_;
+    net.pre_gst_drop_prob = 0.0;
+    net.pre_gst_delay_min = sim_delta_actual_;
+    net.pre_gst_delay_max = sim_delta_actual_;
+  }
+  return net;
+}
+
 std::unique_ptr<shard::ShardMux> ClusterBuilder::make_replica(
-    detail::Replicas& into, NodeId id, const multishot::MultishotConfig& node_cfg) const {
+    detail::Replicas& into, std::size_t at, NodeId id,
+    const multishot::MultishotConfig& node_cfg) const {
   storage::DurableOptions opts;
   opts.segment_bytes = wal_segment_bytes_;
   opts.flush_every = wal_flush_every_;
   opts.checkpoint_every = checkpoint_every_;
-  const std::filesystem::path dir =
-      data_dir_.empty() ? std::filesystem::path{} : shard::node_dir(data_dir_, id);
-  shard::Replica r = shard::make_replica(node_cfg, shards_, dir, opts);
-  into.durables_.push_back(std::move(r.durables));
-  into.muxes_.push_back(r.mux.get());
-  return std::move(r.mux);
+  std::vector<std::unique_ptr<storage::DurableChain>> durables;
+  std::vector<std::unique_ptr<multishot::MultishotNode>> instances;
+  for (std::uint32_t k = 0; k < shards_; ++k) {
+    auto node = std::make_unique<multishot::MultishotNode>(node_cfg);
+    if (!data_dir_.empty()) {
+      std::filesystem::path dir =
+          std::filesystem::path(data_dir_) / ("node-" + std::to_string(id));
+      if (shards_ > 1) dir /= "shard-" + std::to_string(k);
+      auto durable = std::make_unique<storage::DurableChain>(dir, opts);
+      storage::RecoveredState rec = durable->recover();
+      if (rec.tip() > 0 || !rec.commit_state.empty()) {
+        node->restore_chain(rec.checkpoint, rec.commit_state, std::move(rec.tail));
+      }
+      node->set_durable(durable.get());
+      durables.push_back(std::move(durable));
+    }
+    instances.push_back(std::move(node));
+  }
+  auto mux = std::make_unique<shard::ShardMux>(std::move(instances));
+  if (into.muxes_.size() <= at) {
+    into.muxes_.resize(at + 1, nullptr);
+    into.durables_.resize(at + 1);
+  }
+  into.muxes_[at] = mux.get();
+  into.durables_[at] = std::move(durables);
+  return mux;
 }
 
 std::unique_ptr<Cluster> ClusterBuilder::build_local() const {
@@ -314,7 +378,7 @@ std::unique_ptr<Cluster> ClusterBuilder::build_local() const {
   auto cluster = std::unique_ptr<Cluster>(new Cluster(shards_));
   cluster->runner_ = std::make_unique<runtime::LocalRunner>(runtime::LocalRunnerConfig{seed_});
   for (NodeId i = 0; i < node_cfg.n; ++i) {
-    cluster->runner_->add_node(make_replica(*cluster, i, node_cfg));
+    cluster->runner_->add_node(make_replica(*cluster, i, i, node_cfg));
   }
   cluster->runner_->add_commit_sink(cluster->hub_);
   return cluster;
@@ -357,7 +421,7 @@ std::unique_ptr<Cluster> ClusterBuilder::build_socket() const {
     // port is known immediately and nothing ever guesses a free one.
     hosts.push_back(std::make_unique<runtime::SocketHost>(
         socket_host_config(i, net::Endpoint{"127.0.0.1", 0}),
-        make_replica(*cluster, i, node_cfg)));
+        make_replica(*cluster, i, i, node_cfg)));
   }
   for (NodeId i = 0; i < node_cfg.n; ++i) {
     hosts[i]->add_commit_sink(cluster->hub_);
@@ -379,20 +443,26 @@ std::unique_ptr<SocketNode> ClusterBuilder::build_socket_node(
   auto sn = std::unique_ptr<SocketNode>(new SocketNode(shards_));
   Cluster& c = *sn;
   c.hosts_.push_back(std::make_unique<runtime::SocketHost>(
-      socket_host_config(id, std::move(listen)), make_replica(c, id, node_cfg)));
+      socket_host_config(id, std::move(listen)), make_replica(c, 0, id, node_cfg)));
   c.hosts_.front()->add_commit_sink(c.hub_);
   return sn;
 }
 
-std::unique_ptr<SimCluster> ClusterBuilder::build_sim() const {
+std::unique_ptr<SimCluster> ClusterBuilder::build_sim(const StandInFactory& stand_ins) const {
   const multishot::MultishotConfig node_cfg = node_config();
   auto cluster = std::unique_ptr<SimCluster>(new SimCluster(shards_));
+  SimCluster& c = *cluster;
   sim::SimConfig sc;
   sc.seed = seed_;
-  sc.net.delta_bound = delta_bound_;
-  sc.net.delta_actual = sim_delta_actual_;
-  sc.net.delta_min = sim_delta_actual_;
-  cluster->sim_ = std::make_unique<sim::Simulation>(sc);
+  sc.net = sim_network();
+  c.sim_ = std::make_unique<sim::Simulation>(sc);
+  c.muxes_.assign(node_cfg.n, nullptr);
+  c.durables_.resize(node_cfg.n);
+  c.rebuild_ = [builder = *this, node_cfg, &c](NodeId id) {
+    return builder.make_replica(c, id, id, node_cfg);
+  };
+  // The one SubmitPort: each submission reaches replica `id`'s current mux
+  // (refused while it is a stand-in or down).
   struct ReplicaPort final : workload::SubmitPort {
     ReplicaPort(SimCluster& c, NodeId i) : cluster(&c), id(i) {}
     bool submit(std::vector<std::uint8_t> tx) override { return cluster->submit(id, std::move(tx)); }
@@ -400,8 +470,9 @@ std::unique_ptr<SimCluster> ClusterBuilder::build_sim() const {
     NodeId id;
   };
   for (NodeId i = 0; i < node_cfg.n; ++i) {
-    cluster->ports_.push_back(std::make_unique<ReplicaPort>(*cluster, i));
-    cluster->sim_->add_node(make_replica(*cluster, i, node_cfg));
+    c.ports_.push_back(std::make_unique<ReplicaPort>(c, i));
+    std::unique_ptr<runtime::ProtocolNode> node = stand_ins ? stand_ins(i, node_cfg) : nullptr;
+    c.sim_->add_node(node ? std::move(node) : make_replica(c, i, i, node_cfg));
   }
   return cluster;
 }

@@ -23,10 +23,14 @@
 //    build_socket() on n runtime::SocketHosts talking TCP over loopback --
 //    every message crosses a real socket, shard route included;
 //  - SimCluster, build_sim(): a sim::Simulation cluster -- deterministic
-//    virtual time, the verification tool of record. Client actors (workload
-//    generators) attach here; the facade adds every protocol node before
-//    any client, and the Simulation rejects out-of-order additions with a
-//    clear error instead of silently renumbering actors;
+//    virtual time, the verification tool of record, and the only code that
+//    builds a simulated replica set (the workload rig and the chaos engine
+//    are its callers). Client actors (workload generators) attach here; the
+//    facade adds every protocol node before any client, and the Simulation
+//    rejects out-of-order additions with a clear error instead of silently
+//    renumbering actors. Optional per-replica stand-ins (Byzantine or silent
+//    nodes) take an id's place at build time, and crash()/restart() churn an
+//    honest replica through its data dir like a rebooted process;
 //  - SocketNode, build_socket_node(): ONE replica of a genuinely
 //    multi-process deployment; the caller distributes listen ports
 //    (ephemeral binds are discoverable via SocketNode::port()) and wires
@@ -84,13 +88,15 @@ class Replicas {
   [[nodiscard]] const shard::ShardRouter& router() const noexcept { return router_; }
 
   /// Replica `id`'s instance of `shard`. Throws std::out_of_range for an
-  /// unknown replica or `shard >= shards()`, and std::logic_error while a
-  /// real-time cluster runs (direct access races the replica thread: stop()
-  /// first, or submit()). Chain inspection and test assertions.
+  /// unknown replica, a stand-in or crashed SimCluster replica, or
+  /// `shard >= shards()`, and std::logic_error while a real-time cluster
+  /// runs (direct access races the replica thread: stop() first, or
+  /// submit()). Chain inspection and test assertions.
   [[nodiscard]] multishot::MultishotNode& instance(NodeId id, std::uint32_t shard = 0);
   /// Replica `id`'s chain (its shard-0 instance).
   [[nodiscard]] multishot::MultishotNode& replica(NodeId id) { return instance(id); }
-  /// Every replica's instance of `shard` (for chains_prefix_consistent).
+  /// Every replica's instance of `shard` (for chains_prefix_consistent);
+  /// nullptr for a stand-in or crashed replica.
   [[nodiscard]] std::vector<multishot::MultishotNode*> shard_instances(std::uint32_t shard = 0);
 
   /// The durability driver of replica `id`'s instance of `shard`, or nullptr
@@ -105,7 +111,7 @@ class Replicas {
   explicit Replicas(std::uint32_t shards) : router_(shards) {}
 
   shard::ShardRouter router_;
-  std::vector<shard::ShardMux*> muxes_;  // owned by the host
+  std::vector<shard::ShardMux*> muxes_;  // owned by the host; nullptr = stand-in or down
   std::vector<std::vector<std::unique_ptr<storage::DurableChain>>> durables_;  // [node][shard]
   bool running_{false};  // real-time clusters: between start() and stop()
 };
@@ -164,26 +170,50 @@ class Cluster : public detail::Replicas {
 using SocketCluster = Cluster;
 using ShardedCluster = Cluster;
 
+/// What build_sim() hosts at replica `id` instead of an honest replica: a
+/// Byzantine or silent protocol node built from the cluster's validated
+/// MultishotConfig, or nullptr for an honest replica.
+using StandInFactory = std::function<std::unique_ptr<runtime::ProtocolNode>(
+    NodeId, const multishot::MultishotConfig&)>;
+
 /// A deterministic simulated cluster built from the same configuration
 /// (sim::Simulation backend). The facade owns the actor-ordering rules:
 /// all protocol nodes are added at build time, clients afterwards.
 class SimCluster : public detail::Replicas {
  public:
+  // Its ports and its replica factory hold the cluster's address.
+  SimCluster(const SimCluster&) = delete;
+  SimCluster& operator=(const SimCluster&) = delete;
+
   [[nodiscard]] sim::Simulation& simulation() noexcept { return *sim_; }
 
   /// Submit a transaction at replica `id`, onto its key's home shard
   /// (direct call: the simulation is single-threaded). Returns mempool
-  /// admission.
+  /// admission; a stand-in or crashed replica refuses, like a dead endpoint.
   bool submit(NodeId id, std::vector<std::uint8_t> tx) {
+    shard::ShardMux* mux = muxes_.at(id);
+    if (mux == nullptr) return false;
     const std::uint32_t shard = router_.route(tx);
-    return muxes_.at(id)->submit(shard, std::move(tx));
+    return mux->submit(shard, std::move(tx));
   }
 
   /// The workload::SubmitPort view of replica `id` -- hand these to the
   /// load generators (workload::LoadClient and friends), which program
   /// against this boundary; client retries walk replicas while a tag's home
-  /// shard stays fixed.
+  /// shard stays fixed. The port outlives crash/restart: it refuses while
+  /// the replica is down and reaches the rebuilt replica afterwards.
   [[nodiscard]] workload::SubmitPort& port(NodeId id) { return *ports_.at(id); }
+
+  /// Crash honest replica `id`: the simulation silences it (pending timers
+  /// and deliveries die with it) and its DurableChains close, like process
+  /// death. Throws std::logic_error for a stand-in or an already-down id.
+  void crash(NodeId id);
+  /// Rebuild crashed replica `id` from its data dir (recovering whatever its
+  /// write-ahead logs and checkpoints hold) and re-add it; it starts at once
+  /// if the simulation runs. Re-observe its new instances (instance(id, k))
+  /// in any commit tracker. Throws std::logic_error unless replica `id` is
+  /// down.
+  void restart(NodeId id);
 
   /// Attach a client actor (workload generator, observer). Always legal
   /// here: the builder added every protocol node already, which is the
@@ -194,7 +224,8 @@ class SimCluster : public detail::Replicas {
 
   void start() { sim_->start(); }
 
-  /// Run until every instance of every replica finalized >= `target` slots.
+  /// Run until every instance of every honest live replica finalized
+  /// >= `target` slots (stand-ins and crashed replicas are skipped).
   bool run_until_all_finalized(Slot target, runtime::Duration deadline);
 
  private:
@@ -203,6 +234,9 @@ class SimCluster : public detail::Replicas {
 
   std::unique_ptr<sim::Simulation> sim_;
   std::vector<std::unique_ptr<workload::SubmitPort>> ports_;
+  /// Builds replica `id` afresh from the cluster's configuration and
+  /// records it (ClusterBuilder::make_replica over a copy of the builder).
+  std::function<std::unique_ptr<shard::ShardMux>(NodeId)> rebuild_;
 };
 
 /// ONE replica of a multi-process TetraBFT cluster (runtime::SocketHost
@@ -283,6 +317,12 @@ class ClusterBuilder {
   ClusterBuilder& forwarding(bool on);
   /// Simulated actual delay (build_sim only; build_local runs on real time).
   ClusterBuilder& sim_delta_actual(runtime::Duration delta);
+  /// Simulated global stabilization time (build_sim only; 0, the default,
+  /// is synchronous from the start). Before `t` the network is benign -- no
+  /// drops, sim_delta_actual delays -- so a run's only pre-GST misbehavior
+  /// is whatever adversary hook the caller installs (a partition, a
+  /// one-sided link).
+  ClusterBuilder& sim_gst(runtime::Time t);
 
   /// Root directory for durable storage. Each replica's chain gets
   /// `<path>/node-<id>` at S = 1 and `<path>/node-<id>/shard-<k>` otherwise
@@ -330,13 +370,19 @@ class ClusterBuilder {
 
   /// The validated MultishotConfig every backend builds from.
   [[nodiscard]] multishot::MultishotConfig node_config() const;
+  /// The simulated network build_sim() builds from (delta bound, actual
+  /// delay, GST).
+  [[nodiscard]] sim::NetworkConfig sim_network() const;
 
   /// A real-time cluster on one LocalRunner: one thread per replica.
   [[nodiscard]] std::unique_ptr<Cluster> build_local() const;
   /// Kept only because the frozen end-to-end benchmark (perfbench/) names it.
   [[nodiscard]] std::unique_ptr<Cluster> build_sharded_local() const { return build_local(); }
-  /// A deterministic cluster on one sim::Simulation (virtual time).
-  [[nodiscard]] std::unique_ptr<SimCluster> build_sim() const;
+  /// A deterministic cluster on one sim::Simulation (virtual time). Where
+  /// `stand_ins` returns a node for an id, that node takes the id's place
+  /// instead of an honest replica (no mux, no durable state, no port
+  /// admission; instance() throws for it).
+  [[nodiscard]] std::unique_ptr<SimCluster> build_sim(const StandInFactory& stand_ins = {}) const;
   /// An in-process loopback-TCP cluster: n SocketHosts on ephemeral ports,
   /// fully wired and ready to start().
   [[nodiscard]] std::unique_ptr<Cluster> build_socket() const;
@@ -354,6 +400,7 @@ class ClusterBuilder {
   std::uint64_t seed_{1};
   runtime::Duration delta_bound_{50 * runtime::kMillisecond};
   runtime::Duration sim_delta_actual_{1 * runtime::kMillisecond};
+  runtime::Time sim_gst_{0};
   std::uint32_t max_batch_txs_{64};
   std::uint32_t max_batch_bytes_{8192};
   runtime::Duration batch_timeout_{0};
@@ -381,10 +428,18 @@ class ClusterBuilder {
   [[nodiscard]] runtime::SocketHostConfig socket_host_config(
       NodeId id, net::Endpoint listen) const;
 
-  /// Replica `id`'s mux of S chain instances, each recovered from and
-  /// persisting to its data_dir layout; records the mux and its durables
-  /// in `into`. The caller hands the mux to its host.
-  std::unique_ptr<shard::ShardMux> make_replica(detail::Replicas& into, NodeId id,
+  /// Replica `id`'s mux of S chain instances. With data_dir each instance
+  /// recovers whatever its chain directory holds and persists every
+  /// finalized block there:
+  ///
+  ///   <data_dir>/node-<id>              the chain directory at S = 1
+  ///   <data_dir>/node-<id>/shard-<k>    shard k's chain directory at S > 1
+  ///
+  /// Records the mux and its durables in `into` at position `at` (the id,
+  /// except a SocketNode's lone replica at 0). The caller hands the mux to
+  /// its host.
+  std::unique_ptr<shard::ShardMux> make_replica(detail::Replicas& into, std::size_t at,
+                                                NodeId id,
                                                 const multishot::MultishotConfig& node_cfg) const;
 };
 

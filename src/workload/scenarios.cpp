@@ -53,80 +53,41 @@ void add_clients(sim::Simulation& sim, const ClientLoad& load,
 
 WorkloadRig make_rig(const ScenarioOptions& opts) {
   WorkloadRig rig;
-
-  sim::SimConfig sc;
-  sc.seed = opts.seed;
-  sc.net.delta_bound = opts.delta_bound;
-  sc.net.delta_actual = opts.delta_actual;
-  sc.net.delta_min = opts.delta_actual;
+  ClusterBuilder builder = opts.cluster;
   if (opts.preset == Preset::kPartitionDuringLoad) {
     // The partition is the only pre-GST misbehavior: same-side traffic flows
     // at delta_actual so the scenario isolates the quorum loss itself.
-    rig.gst = opts.load_duration / 2;
-  } else if (opts.gst > 0) {
-    rig.gst = opts.gst;
+    builder.sim_gst(opts.load_duration / 2);
   }
-  if (rig.gst > 0) {
-    sc.net.gst = rig.gst;
-    sc.net.pre_gst_drop_prob = 0.0;
-    sc.net.pre_gst_delay_min = opts.delta_actual;
-    sc.net.pre_gst_delay_max = opts.delta_actual;
-  }
-  rig.sim = std::make_unique<sim::Simulation>(sc);
+  const sim::NetworkConfig net = builder.sim_network();
+  rig.gst = net.gst;
+  rig.cluster = builder.build_sim([&](NodeId i, const multishot::MultishotConfig& cfg)
+                                      -> std::unique_ptr<runtime::ProtocolNode> {
+    if (opts.preset == Preset::kLeaderCrashUnderLoad && i == 0) {
+      return std::make_unique<sim::SilentNode>();
+    }
+    if (opts.preset == Preset::kJunkFloodUnderLoad && i == cfg.n - 1) {
+      return std::make_unique<sim::RandomJunkNode>(net.delta_actual);
+    }
+    return nullptr;
+  });
+  SimCluster& cluster = *rig.cluster;
 
   if (opts.preset == Preset::kPartitionDuringLoad) {
     std::vector<NodeId> group_a;
-    for (NodeId i = 0; i < opts.n / 2; ++i) group_a.push_back(i);
-    rig.sim->network().set_adversary(sim::make_partition_until_gst(group_a, rig.gst));
+    for (NodeId i = 0; i < cluster.size() / 2; ++i) group_a.push_back(i);
+    rig.sim().network().set_adversary(sim::make_partition_until_gst(group_a, rig.gst));
   }
 
-  rig.node_cfg.n = opts.n;
-  rig.node_cfg.f = opts.f;
-  rig.node_cfg.delta_bound = opts.delta_bound;
-  rig.node_cfg.max_slots = 0;  // chains grow as long as the load needs
-  rig.node_cfg.max_batch_txs = opts.max_batch_txs;
-  rig.node_cfg.max_batch_bytes = opts.max_batch_bytes;
-  rig.node_cfg.batch_timeout = opts.batch_timeout;
-  rig.node_cfg.pipeline_depth = opts.pipeline_depth;
-  if (opts.adaptive_batch_txs > opts.max_batch_txs) {
-    rig.node_cfg.adaptive_batch_txs = opts.adaptive_batch_txs;
-  }
-  rig.node_cfg.mempool_capacity = opts.mempool_capacity;
-  rig.node_cfg.mempool_policy = opts.mempool_policy;
-
-  for (NodeId i = 0; i < opts.n; ++i) {
-    const bool crashed = opts.preset == Preset::kLeaderCrashUnderLoad && i == 0;
-    const bool junk = opts.preset == Preset::kJunkFloodUnderLoad && i == opts.n - 1;
-    if (crashed) {
-      rig.nodes.push_back(nullptr);
-      rig.sim->add_node(std::make_unique<sim::SilentNode>());
-    } else if (junk) {
-      rig.nodes.push_back(nullptr);
-      rig.sim->add_node(std::make_unique<sim::RandomJunkNode>(opts.delta_actual));
-    } else {
-      auto node = std::make_unique<multishot::MultishotNode>(rig.node_cfg);
-      rig.nodes.push_back(node.get());
-      rig.sim->add_node(std::move(node));
-    }
-  }
-
-  rig.tracker = std::make_unique<WorkloadTracker>(rig.sim->metrics());
-  // Generators never touch MultishotNode directly: each honest replica is
-  // wrapped in a SubmitPort, the same boundary the tetrabft.hpp facade
-  // exposes, so the load path stays transport-agnostic.
-  struct ReplicaPort final : SubmitPort {
-    explicit ReplicaPort(multishot::MultishotNode& n) : node(&n) {}
-    bool submit(std::vector<std::uint8_t> tx) override {
-      return node->submit_tx(std::move(tx));
-    }
-    multishot::MultishotNode* node;
-  };
+  rig.nodes = cluster.shard_instances();
+  rig.tracker = std::make_unique<WorkloadTracker>(rig.sim().metrics());
+  // Generators never touch MultishotNode directly: they submit through the
+  // facade's SubmitPorts, so the load path stays transport-agnostic.
   std::vector<SubmitPort*> honest;
-  for (auto* node : rig.nodes) {
-    if (node != nullptr) {
-      rig.tracker->observe(*node);
-      rig.ports.push_back(std::make_unique<ReplicaPort>(*node));
-      honest.push_back(rig.ports.back().get());
+  for (NodeId i = 0; i < cluster.size(); ++i) {
+    if (rig.nodes[i] != nullptr) {
+      rig.tracker->observe(*rig.nodes[i]);
+      honest.push_back(&cluster.port(i));
     }
   }
 
@@ -140,13 +101,14 @@ WorkloadRig make_rig(const ScenarioOptions& opts) {
   load.base.retry_timeout = opts.client_retry_timeout;
   load.rate_per_sec = opts.rate_per_sec;
   load.outstanding = opts.outstanding;
-  add_clients(*rig.sim, load, honest, *rig.tracker);
+  add_clients(rig.sim(), load, honest, *rig.tracker);
   return rig;
 }
 
 ScenarioResult run_scenario(const ScenarioOptions& opts) {
   WorkloadRig rig = make_rig(opts);
-  rig.sim->start();
+  sim::Simulation& simu = rig.sim();
+  simu.start();
 
   // Load window plus drain: done once the window closed and every admitted
   // request committed (the admitted > 0 guard keeps the predicate from
@@ -161,19 +123,19 @@ ScenarioResult run_scenario(const ScenarioOptions& opts) {
     return true;
   };
   const auto drained = [&] {
-    return rig.sim->now() >= opts.load_duration && rig.tracker->admitted() > 0 &&
+    return simu.now() >= opts.load_duration && rig.tracker->admitted() > 0 &&
            (rig.tracker->all_admitted_committed() || pools_empty());
   };
-  rig.sim->run_until_pred(drained, opts.drain_deadline);
+  simu.run_until_pred(drained, opts.drain_deadline);
 
   ScenarioResult res;
-  res.elapsed = rig.sim->now();
+  res.elapsed = simu.now();
   // Let in-flight traffic settle so lagging replicas converge before the
   // consistency check (commits are already in).
-  rig.sim->run_until(rig.sim->now() + 2 * opts.delta_bound);
+  simu.run_until(simu.now() + 2 * simu.network().config().delta_bound);
 
   res.report = rig.tracker->report(res.elapsed);
-  res.trace_digest = rig.sim->trace().digest();
+  res.trace_digest = simu.trace().digest();
   res.all_admitted_committed =
       rig.tracker->admitted() > 0 && rig.tracker->all_admitted_committed();
   res.chains_consistent = rig.chains_consistent();

@@ -1,6 +1,10 @@
 #pragma once
 // Scenario presets: generators composed with the existing fault/adversary
-// hooks into fully wired, deterministic load runs.
+// hooks into fully wired, deterministic load runs. Every run builds its
+// replica set through the facade (ClusterBuilder::build_sim, tetrabft.hpp):
+// the cluster configuration is a ClusterBuilder, the nodes are S = 1
+// ShardMuxes, and the preset's crashed/junk replica is a build_sim
+// stand-in.
 //
 //  - kSteadyState:          constant-rate (or closed-loop) load, no faults;
 //  - kBurst:                open-loop load with periodic rate bursts;
@@ -18,6 +22,7 @@
 
 #include "multishot/node.hpp"
 #include "sim/runtime.hpp"
+#include "tetrabft.hpp"
 #include "workload/generator.hpp"
 #include "workload/tracker.hpp"
 
@@ -35,9 +40,12 @@ enum class Preset : std::uint8_t {
 
 struct ScenarioOptions {
   Preset preset{Preset::kSteadyState};
-  std::uint32_t n{4};
-  std::uint32_t f{1};
-  std::uint64_t seed{1};
+  /// The replica set: membership, seed, timing, batching, pipelining,
+  /// mempool and the simulated network (sim_delta_actual, sim_gst). An
+  /// explicit sim_gst gives tests a window to attach their own pre-GST
+  /// adversary hook to an otherwise well-behaved network; the partition
+  /// preset sets its own GST and overrides it.
+  ClusterBuilder cluster{ClusterBuilder{}.delta_bound(10 * sim::kMillisecond)};
   /// Generators submit during [0, load_duration).
   sim::SimTime load_duration{500 * sim::kMillisecond};
   /// Absolute cap on the run while draining outstanding requests.
@@ -47,23 +55,6 @@ struct ScenarioOptions {
   double rate_per_sec{2000.0};   // per open-loop client
   std::uint32_t outstanding{8};  // per closed-loop client
   std::uint32_t request_bytes{64};
-  // Node-side batching/mempool knobs (MultishotConfig passthrough).
-  std::uint32_t max_batch_txs{64};
-  std::uint32_t max_batch_bytes{8192};
-  sim::SimTime batch_timeout{0};
-  /// Led slots a leader may have in flight at once (1 = classic).
-  std::uint32_t pipeline_depth{1};
-  /// Adaptive per-proposal tx ceiling under backlog (<= max_batch_txs = off).
-  std::uint32_t adaptive_batch_txs{0};
-  std::size_t mempool_capacity{4096};
-  multishot::MempoolPolicy mempool_policy{multishot::MempoolPolicy::kRejectNew};
-  sim::SimTime delta_bound{10 * sim::kMillisecond};
-  sim::SimTime delta_actual{1 * sim::kMillisecond};
-  /// Optional explicit GST with benign pre-GST stochastics (no random drops,
-  /// delta_actual delays): gives tests a window to attach their own pre-GST
-  /// adversary hook to an otherwise well-behaved network. The partition
-  /// preset manages its own GST and ignores this.
-  sim::SimTime gst{0};
   /// Client-side retry (ClientConfig passthrough): re-submit an admitted
   /// request to the next replica when it has not committed within this long
   /// (0 = off). The rescue path when a replica crashes after admission.
@@ -92,24 +83,20 @@ struct ClientLoad {
 void add_clients(sim::Simulation& sim, const ClientLoad& load,
                  const std::vector<SubmitPort*>& targets, TrackerSink& tracker);
 
-/// A wired run for tests that drive the simulation themselves. Actor
-/// pointers are owned by `sim`.
+/// A wired run for tests that drive the simulation themselves. Actors are
+/// owned by the cluster's simulation.
 struct WorkloadRig {
-  std::unique_ptr<sim::Simulation> sim;
+  std::unique_ptr<SimCluster> cluster;
   std::unique_ptr<WorkloadTracker> tracker;
   std::vector<multishot::MultishotNode*> nodes;  // nullptr for crashed/junk
-  /// Submission ports the generators target (one per honest node, in node
-  /// order) -- the same facade boundary tetrabft.hpp handles implement.
-  std::vector<std::unique_ptr<SubmitPort>> ports;
-  multishot::MultishotConfig node_cfg;
   sim::SimTime gst{0};
 
+  [[nodiscard]] sim::Simulation& sim() const { return cluster->simulation(); }
   /// Definition 2 (Consistency) over every observed pair of finalized chains.
   [[nodiscard]] bool chains_consistent() const;
 };
 
-/// Build the preset's simulation, nodes, tracker and generators (not yet
-/// started).
+/// Build the preset's cluster, tracker and generators (not yet started).
 [[nodiscard]] WorkloadRig make_rig(const ScenarioOptions& opts);
 
 struct ScenarioResult {

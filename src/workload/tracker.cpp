@@ -113,6 +113,8 @@ WorkloadReport WorkloadTracker::report(runtime::Time elapsed) const {
   r.foreign = foreign_;
   r.retried = retried_;
   r.retry_duplicates = retry_duplicates_;
+  r.misrouted = misrouted_commits_;
+  r.cross_shard = cross_shard_commits_;
   if (elapsed > 0) {
     r.committed_tx_per_sec =
         static_cast<double>(committed_) * runtime::kSecond / static_cast<double>(elapsed);

@@ -52,6 +52,8 @@ struct WorkloadReport {
   std::uint64_t foreign{0};     // committed tags never submitted
   std::uint64_t retried{0};     // client-side re-submissions (same tag)
   std::uint64_t retry_duplicates{0};  // double-commits attributable to retries
+  std::uint64_t misrouted{0};    // first commits off the tag's home shard
+  std::uint64_t cross_shard{0};  // later commits of a tag on another shard
   double committed_tx_per_sec{0};
   double latency_mean_ms{0};
   double latency_p50_ms{0};
@@ -66,7 +68,9 @@ struct WorkloadReport {
   std::uint64_t mempool_dropped_oldest{0};
 
   [[nodiscard]] std::uint64_t outstanding() const noexcept { return admitted - committed; }
-  [[nodiscard]] bool exactly_once() const noexcept { return duplicates == 0 && foreign == 0; }
+  [[nodiscard]] bool exactly_once() const noexcept {
+    return duplicates == 0 && foreign == 0 && misrouted == 0 && cross_shard == 0;
+  }
 
   friend bool operator==(const WorkloadReport&, const WorkloadReport&) = default;
 

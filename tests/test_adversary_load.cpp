@@ -17,24 +17,25 @@ namespace {
 TEST(AdversaryUnderLoad, PartitionDropsExactlyCrossGroupTrafficPreGst) {
   ScenarioOptions opts;
   opts.preset = Preset::kPartitionDuringLoad;
-  opts.seed = 31;
+  opts.cluster.seed(31);
   opts.load_duration = 300 * sim::kMillisecond;
   opts.rate_per_sec = 800;
 
   WorkloadRig rig = make_rig(opts);
   const sim::SimTime gst = rig.gst;
   ASSERT_GT(gst, 0);
-  rig.sim->start();
-  rig.sim->run_until_pred(
+  rig.sim().start();
+  rig.sim().run_until_pred(
       [&] { return rig.tracker->admitted() > 0 && rig.tracker->all_admitted_committed() &&
-                   rig.sim->now() >= opts.load_duration; },
+                   rig.sim().now() >= opts.load_duration; },
       60 * sim::kSecond);
 
-  const auto in_group_a = [&](NodeId id) { return id < opts.n / 2; };
+  const std::uint32_t n = rig.cluster->size();
+  const auto in_group_a = [&](NodeId id) { return id < n / 2; };
   std::uint64_t cross_pre_gst = 0;
   std::uint64_t cross_post_gst_delivered = 0;
-  for (const auto& m : rig.sim->trace().messages()) {
-    if (m.src >= opts.n || m.dst >= opts.n) continue;  // client-side traffic
+  for (const auto& m : rig.sim().trace().messages()) {
+    if (m.src >= n || m.dst >= n) continue;  // client-side traffic
     const bool cross = in_group_a(m.src) != in_group_a(m.dst);
     if (!cross) {
       // Same-side traffic is never dropped in this scenario (drop prob 0).
@@ -64,21 +65,21 @@ TEST(AdversaryUnderLoad, SelectiveProposalDropStarvesVictimUntilGst) {
   // 4-blocks-per-view-change ChainInfo crumbs.
   ScenarioOptions opts;
   opts.preset = Preset::kSteadyState;
-  opts.seed = 32;
+  opts.cluster.seed(32);
   opts.load_duration = 200 * sim::kMillisecond;
   opts.rate_per_sec = 500;
   opts.clients = 1;
 
   const sim::SimTime gst = 100 * sim::kMillisecond;
-  opts.gst = gst;  // benign pre-GST network; the hook below is the only fault
+  opts.cluster.sim_gst(gst);  // benign pre-GST network; the hook below is the only fault
   WorkloadRig rig = make_rig(opts);
   const auto proposal_tag =
       static_cast<std::uint8_t>(multishot::MsType::Proposal);
-  rig.sim->network().set_adversary(
+  rig.sim().network().set_adversary(
       sim::make_selective_drop({proposal_tag}, {NodeId{3}}, gst));
-  rig.sim->start();
+  rig.sim().start();
 
-  rig.sim->run_until(gst);
+  rig.sim().run_until(gst);
   // Mid-starvation probe: the victim is strictly behind (it never sees a
   // proposal, and votes alone cannot reconstruct block contents). The rest
   // still progress, though slower than the good case -- the victim is also a
@@ -90,13 +91,13 @@ TEST(AdversaryUnderLoad, SelectiveProposalDropStarvesVictimUntilGst) {
   EXPECT_GE(longest, 1u);
   EXPECT_LT(rig.nodes[3]->finalized_count(), longest);
 
-  for (const auto& m : rig.sim->trace().messages()) {
+  for (const auto& m : rig.sim().trace().messages()) {
     if (m.type_tag == proposal_tag && m.dst == 3 && m.sent_at < gst) {
       EXPECT_TRUE(m.dropped) << "proposal to the victim survived at " << m.sent_at;
     }
   }
 
-  rig.sim->run_until_pred(
+  rig.sim().run_until_pred(
       [&] { return rig.tracker->admitted() > 0 && rig.tracker->all_admitted_committed(); },
       60 * sim::kSecond);
   EXPECT_TRUE(rig.tracker->all_admitted_committed());
@@ -105,8 +106,8 @@ TEST(AdversaryUnderLoad, SelectiveProposalDropStarvesVictimUntilGst) {
   // Let the victim's next view-change round discover the frontier and run
   // the ranged catch-up, then assert it healed THROUGH RANGE SYNC:
   // pipelined chunks, not one view-change round per handful of blocks.
-  rig.sim->run_until(rig.sim->now() + 200 * sim::kMillisecond);
-  const auto& by_type = rig.sim->trace().messages_by_type();
+  rig.sim().run_until(rig.sim().now() + 200 * sim::kMillisecond);
+  const auto& by_type = rig.sim().trace().messages_by_type();
   const auto chunks = by_type.find(static_cast<std::uint8_t>(multishot::MsType::SyncChunk));
   ASSERT_NE(chunks, by_type.end()) << "no sync chunks flowed during catch-up";
   EXPECT_GT(chunks->second, 0u);

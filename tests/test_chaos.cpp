@@ -106,7 +106,9 @@ TEST(ChaosScenario, FaultBudgetHoldsOnEveryDraw) {
     // Churn exists only with leftover budget (a down node is a fault), the
     // windows are sequential, hit honest nodes only, and heal before the
     // drain phase.
-    if (!p.churn.empty()) EXPECT_LT(byz, p.f);
+    if (!p.churn.empty()) {
+      EXPECT_LT(byz, p.f);
+    }
     sim::SimTime prev_up = 0;
     for (const ChurnEvent& ev : p.churn) {
       EXPECT_EQ(p.roles[ev.node], ByzRole::kHonest);
@@ -133,6 +135,25 @@ TEST(ChaosEngine, SameSeedSameTrace) {
   EXPECT_EQ(va.report.committed, vb.report.committed);
   EXPECT_EQ(va.report.admitted, vb.report.admitted);
   EXPECT_EQ(va.report.retried, vb.report.retried);
+}
+
+TEST(ChaosVerdict, RoutingFaultsHaveTheirOwnVerdict) {
+  // A routing bug is not a chain divergence: each shard's chain can be
+  // prefix-consistent while a request commits off its home shard or on two
+  // shards. The verdict names each fault for what it is.
+  ChaosVerdict v;
+  v.chains_consistent = true;
+  v.drained = true;
+  v.progressed = true;
+  ASSERT_TRUE(v.ok());
+  v.report.misrouted = 1;
+  EXPECT_FALSE(v.report.exactly_once());
+  EXPECT_FALSE(v.safe());
+  EXPECT_EQ(v.failure(), "misrouted-commit");
+  v.report.misrouted = 0;
+  v.report.cross_shard = 2;
+  EXPECT_FALSE(v.safe());
+  EXPECT_EQ(v.failure(), "cross-shard-commit");
 }
 
 TEST(ChaosEngine, FailingVerdictDumpsReplicaState) {

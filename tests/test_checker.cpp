@@ -227,7 +227,7 @@ TEST(CheckerExhaustive, SevenNodesTwoByzSmallBounds) {
 TEST(SyncSpec, AdoptionAtFPlusOneIsSafeExhaustively) {
   // n = 4 / f = 1 and n = 7 / f = 2, Byzantine budget saturated: every
   // claim interleaving, the laggard only ever adopts the ground truth.
-  for (const auto [n, f] : {std::pair{4, 1}, std::pair{7, 2}}) {
+  for (const auto& [n, f] : {std::pair{4, 1}, std::pair{7, 2}}) {
     SyncSpecConfig cfg;
     cfg.n = n;
     cfg.f = f;

@@ -2,7 +2,9 @@
 // a cluster built with ClusterBuilder::data_dir persists every finalized
 // block, is torn down mid-life, and a second cluster built over the same
 // directories resumes with identical chains and exactly-once commit
-// accounting -- then keeps finalizing. Plus the builder's storage-config
+// accounting -- then keeps finalizing. SimCluster::crash/restart churns one
+// replica of a live, loaded sharded cluster the same way, and build_sim
+// stand-ins take an id's place. Plus the builder's storage-config
 // validation (inconsistent tail/window/sync combinations fail eagerly).
 
 #include <gtest/gtest.h>
@@ -13,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "sim/adversary.hpp"
 #include "tetrabft.hpp"
+#include "workload/scenarios.hpp"
 
 namespace tbft {
 namespace {
@@ -154,6 +158,114 @@ TEST(CrashRestart, SimClusterResumesFromDiskWithExactlyOnceCommits) {
   for (NodeId i = 0; i < kNodes; ++i) {
     EXPECT_GT(cluster->replica(i).finalized_count(), counts[i]) << "node " << i;
   }
+}
+
+TEST(CrashRestart, SimClusterCrashRestartUnderShardedLoad) {
+  // A durable S = 2 cluster under open-loop client load: replica 1 crashes
+  // mid-load, its port refuses while it is down, and restart() rebuilds it
+  // from its write-ahead logs at exactly the tip it had persisted.
+  TempDir dir("sim_live_churn");
+  constexpr std::uint32_t kShards = 2;
+  const runtime::Duration delta = 10 * kMillisecond;
+  ClusterBuilder b;
+  b.nodes(kNodes)
+      .shards(kShards)
+      .seed(11)
+      .delta_bound(delta)
+      .sim_delta_actual(1 * kMillisecond)
+      .batching(32, 4096)
+      .data_dir(dir.path.string())
+      .checkpoint_every(16)
+      .wal_flush_every(1);
+  auto cluster = b.build_sim();
+  sim::Simulation& simu = cluster->simulation();
+
+  workload::WorkloadTracker tracker(simu.metrics(), kShards);
+  const auto observe = [&](NodeId i) {
+    for (std::uint32_t k = 0; k < kShards; ++k) tracker.observe(cluster->instance(i, k), k);
+  };
+  std::vector<workload::SubmitPort*> ports;
+  for (NodeId i = 0; i < kNodes; ++i) {
+    observe(i);
+    ports.push_back(&cluster->port(i));
+  }
+  workload::ClientLoad load;
+  load.clients = 2;
+  load.rate_per_sec = 500;
+  load.base.stop = 400 * kMillisecond;
+  // Requests stranded in the crashed mempool are re-submitted elsewhere.
+  load.base.retry_timeout = 4 * 9 * delta;
+  workload::add_clients(simu, load, ports, tracker);
+  cluster->start();
+
+  simu.run_until(150 * kMillisecond);
+  std::vector<Slot> tip(kShards, 0);
+  for (std::uint32_t k = 0; k < kShards; ++k) {
+    tip[k] = cluster->instance(1, k).finalized_count();
+    EXPECT_GT(tip[k], 0u) << "shard " << k;
+  }
+  cluster->crash(1);
+  EXPECT_THROW(cluster->crash(1), std::logic_error);
+  EXPECT_THROW((void)cluster->instance(1), std::out_of_range);
+  EXPECT_EQ(cluster->shard_instances(1)[1], nullptr);
+  EXPECT_EQ(cluster->durable(1), nullptr);  // WAL and checkpoint files closed
+  EXPECT_FALSE(cluster->port(1).submit(workload::encode_request(9, 0, 64)));
+
+  simu.run_until(300 * kMillisecond);
+  cluster->restart(1);
+  EXPECT_THROW(cluster->restart(1), std::logic_error);
+  for (std::uint32_t k = 0; k < kShards; ++k) {
+    // wal_flush_every(1): every block finalized before the crash is durable.
+    EXPECT_EQ(cluster->instance(1, k).finalized_count(), tip[k]) << "shard " << k;
+  }
+  ASSERT_NE(cluster->durable(1, 1), nullptr);
+  observe(1);
+
+  const auto drained = [&] {
+    return simu.now() >= load.base.stop && tracker.admitted() > 0 &&
+           tracker.all_admitted_committed();
+  };
+  ASSERT_TRUE(simu.run_until_pred(drained, 120 * kSecond));
+  simu.run_until(simu.now() + 2 * delta);
+  EXPECT_GT(tracker.committed(), 100u);
+  EXPECT_TRUE(tracker.exactly_once())
+      << "duplicates=" << tracker.duplicates() << " misrouted=" << tracker.misrouted_commits()
+      << " cross_shard=" << tracker.cross_shard_commits();
+  for (std::uint32_t k = 0; k < kShards; ++k) {
+    EXPECT_TRUE(multishot::chains_prefix_consistent(cluster->shard_instances(k)))
+        << "shard " << k;
+    // The restarted replica kept finalizing past its recovered tip.
+    EXPECT_GT(cluster->instance(1, k).finalized_count(), tip[k]) << "shard " << k;
+  }
+}
+
+TEST(CrashRestart, SimClusterStandInTakesAnIdsPlace) {
+  // A stand-in is a protocol node but not a replica of the facade: no chain
+  // instance, no admission, and the finality predicate skips it.
+  auto cluster = ClusterBuilder{}.nodes(kNodes).shards(2).build_sim(
+      [](NodeId id, const multishot::MultishotConfig&) -> std::unique_ptr<runtime::ProtocolNode> {
+        if (id == 3) return std::make_unique<sim::SilentNode>();
+        return nullptr;
+      });
+  EXPECT_THROW((void)cluster->instance(3), std::out_of_range);
+  EXPECT_THROW((void)cluster->instance(3, 1), std::out_of_range);
+  EXPECT_NO_THROW((void)cluster->instance(2, 1));
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    const auto chains = cluster->shard_instances(k);
+    ASSERT_EQ(chains.size(), kNodes);
+    EXPECT_EQ(chains[3], nullptr);
+    EXPECT_NE(chains[0], nullptr);
+  }
+  EXPECT_FALSE(cluster->port(3).submit(tx_bytes(0)));
+  EXPECT_THROW(cluster->crash(3), std::logic_error);
+  EXPECT_THROW(cluster->restart(3), std::logic_error);
+  // Idle chains do not grow: load every shard through the honest replicas.
+  for (std::uint32_t j = 0; j < 24; ++j) {
+    ASSERT_TRUE(cluster->submit(j % 3, workload::encode_request(5, j, 32)));
+  }
+  cluster->start();
+  EXPECT_TRUE(cluster->run_until_all_finalized(3, 60 * kSecond));
+  EXPECT_TRUE(multishot::chains_prefix_consistent(cluster->shard_instances(0)));
 }
 
 TEST(CrashRestart, BuilderRejectsInconsistentStorageConfigs) {

@@ -106,7 +106,7 @@ workload::ScenarioOptions loaded_opts(bool closed_loop, std::uint64_t seed) {
   workload::ScenarioOptions opts;
   opts.preset = workload::Preset::kSteadyState;
   opts.closed_loop = closed_loop;
-  opts.seed = seed;
+  opts.cluster.seed(seed);
   opts.load_duration = 150 * sim::kMillisecond;
   opts.rate_per_sec = 600;
   opts.outstanding = 6;
@@ -143,8 +143,8 @@ TEST(Determinism, WorkloadSeedsDiverge) {
 TEST(Determinism, DepthOneIsByteIdenticalToUnpipelined) {
   const auto base = workload::run_scenario(loaded_opts(false, 0xABCD));
   auto opts = loaded_opts(false, 0xABCD);
-  opts.pipeline_depth = 1;
-  opts.adaptive_batch_txs = 0;
+  opts.cluster.pipelining(1);
+  opts.cluster.adaptive_batching(0);
   const auto depth1 = workload::run_scenario(opts);
   ASSERT_GT(base.report.committed, 0u);
   EXPECT_EQ(base.trace_digest, depth1.trace_digest);
@@ -156,8 +156,8 @@ TEST(Determinism, DepthOneIsByteIdenticalToUnpipelined) {
 TEST(Determinism, PipelinedWorkloadIsDeterministic) {
   auto opts = loaded_opts(false, 0x9A9A);
   opts.rate_per_sec = 4000;
-  opts.pipeline_depth = 4;
-  opts.adaptive_batch_txs = 512;
+  opts.cluster.pipelining(4);
+  opts.cluster.adaptive_batching(512);
   const auto a = workload::run_scenario(opts);
   const auto b = workload::run_scenario(opts);
   ASSERT_GT(a.report.committed, 0u);
@@ -165,8 +165,8 @@ TEST(Determinism, PipelinedWorkloadIsDeterministic) {
   EXPECT_TRUE(a.report == b.report);
   // And the depth axis has teeth: depth 4 schedules differently than depth 1.
   auto flat = opts;
-  flat.pipeline_depth = 1;
-  flat.adaptive_batch_txs = 0;
+  flat.cluster.pipelining(1);
+  flat.cluster.adaptive_batching(0);
   const auto c = workload::run_scenario(flat);
   EXPECT_NE(a.trace_digest, c.trace_digest);
 }

@@ -139,21 +139,21 @@ TEST(IdleQuiescence, ResumesViaViewChangeWhenForwardingDisabled) {
 TEST(IdleQuiescence, LoadedScenarioQuiescesAfterDrainAndResumes) {
   workload::ScenarioOptions opts;
   opts.preset = workload::Preset::kSteadyState;
-  opts.seed = 77;
+  opts.cluster.seed(77);
   opts.load_duration = 100 * sim::kMillisecond;
   opts.rate_per_sec = 1000;
 
   workload::WorkloadRig rig = workload::make_rig(opts);
-  rig.sim->start();
+  rig.sim().start();
   const auto drained = [&] {
     return rig.tracker->admitted() > 0 && rig.tracker->all_admitted_committed();
   };
-  ASSERT_TRUE(rig.sim->run_until_pred(drained, 60 * sim::kSecond));
+  ASSERT_TRUE(rig.sim().run_until_pred(drained, 60 * sim::kSecond));
 
   // After the drain the network quiesces by itself: no filler blocks keep
   // streaming, every timer goes dormant, the chain length freezes.
-  rig.sim->run_to_quiescence(rig.sim->now() + 20 * sim::kSecond);
-  EXPECT_EQ(rig.sim->armed_timer_count(), 0u);
+  rig.sim().run_to_quiescence(rig.sim().now() + 20 * sim::kSecond);
+  EXPECT_EQ(rig.sim().armed_timer_count(), 0u);
   const Slot frozen_len = rig.nodes[0]->finalized_count();
   EXPECT_TRUE(rig.chains_consistent());
 
@@ -170,7 +170,7 @@ TEST(IdleQuiescence, LoadedScenarioQuiescesAfterDrainAndResumes) {
     }
     return true;
   };
-  EXPECT_TRUE(rig.sim->run_until_pred(resumed, 30 * sim::kSecond));
+  EXPECT_TRUE(rig.sim().run_until_pred(resumed, 30 * sim::kSecond));
   EXPECT_GT(rig.nodes[0]->finalized_count(), frozen_len);
   EXPECT_TRUE(rig.chains_consistent());
 }

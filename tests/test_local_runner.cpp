@@ -203,13 +203,14 @@ TEST(RuntimeApi, AddNodeAfterClientThrowsClearError) {
 }
 
 TEST(RuntimeApi, BuilderRejectsInvalidConfigurations) {
-  EXPECT_THROW(ClusterBuilder{}.nodes(3).faults(1).node_config(), std::invalid_argument);
-  EXPECT_THROW(ClusterBuilder{}.nodes(0).node_config(), std::invalid_argument);
+  EXPECT_THROW((void)ClusterBuilder{}.nodes(3).faults(1).node_config(), std::invalid_argument);
+  EXPECT_THROW((void)ClusterBuilder{}.nodes(0).node_config(), std::invalid_argument);
   EXPECT_THROW(ClusterBuilder{}.delta_bound(0), std::invalid_argument);
   EXPECT_THROW(ClusterBuilder{}.batching(0, 1024), std::invalid_argument);
   EXPECT_THROW(ClusterBuilder{}.mempool(0, multishot::MempoolPolicy::kRejectNew),
                std::invalid_argument);
   EXPECT_THROW(ClusterBuilder{}.storage_tail(0), std::invalid_argument);
+  EXPECT_THROW(ClusterBuilder{}.sim_gst(-1), std::invalid_argument);
   // n = 4 derives f = 1 and passes; an explicit f = 0 is honored, not
   // treated as "derive".
   EXPECT_EQ(ClusterBuilder{}.nodes(4).node_config().f, 1u);

@@ -43,24 +43,24 @@ TEST(Pipelining, ForwardingUnderLoadStaysExactlyOnce) {
   // whole run and every relay exercises the forwarding-under-load path.
   workload::ScenarioOptions opts;
   opts.preset = workload::Preset::kSteadyState;
-  opts.seed = 31;
+  opts.cluster.seed(31);
   opts.load_duration = 300 * sim::kMillisecond;
   opts.rate_per_sec = 1500;
   opts.clients = 2;
 
   workload::WorkloadRig rig = workload::make_rig(opts);
-  rig.sim->start();
+  rig.sim().start();
   const auto drained = [&] {
-    return rig.sim->now() >= opts.load_duration && rig.tracker->admitted() > 0 &&
+    return rig.sim().now() >= opts.load_duration && rig.tracker->admitted() > 0 &&
            rig.tracker->all_admitted_committed();
   };
-  rig.sim->run_until_pred(drained, opts.drain_deadline);
-  rig.sim->run_until(rig.sim->now() + 2 * opts.delta_bound);
+  rig.sim().run_until_pred(drained, opts.drain_deadline);
+  rig.sim().run_until(rig.sim().now() + 2 * rig.sim().network().config().delta_bound);
 
   // Forwarding fired under load (not just on an idle-resume edge)...
-  EXPECT_GT(rig.sim->metrics().counter("multishot.forward.sent").value(), 0u);
+  EXPECT_GT(rig.sim().metrics().counter("multishot.forward.sent").value(), 0u);
   // ...and the accounting contract held anyway.
-  const auto report = rig.tracker->report(rig.sim->now());
+  const auto report = rig.tracker->report(rig.sim().now());
   EXPECT_GT(report.committed, 100u);
   EXPECT_TRUE(report.exactly_once())
       << "duplicates=" << report.duplicates << " foreign=" << report.foreign;

@@ -65,7 +65,7 @@ TEST(Request, ExtractTagsWalksBatchedPayload) {
 TEST(Workload, OpenLoopSteadyStateCommitsEverythingExactlyOnce) {
   ScenarioOptions opts;
   opts.preset = Preset::kSteadyState;
-  opts.seed = 11;
+  opts.cluster.seed(11);
   opts.load_duration = 200 * sim::kMillisecond;
   opts.rate_per_sec = 500;
   const auto res = run_scenario(opts);
@@ -88,7 +88,7 @@ TEST(Workload, ClosedLoopKeepsOutstandingBoundedAndDrains) {
   opts.closed_loop = true;
   opts.clients = 3;
   opts.outstanding = 8;
-  opts.seed = 12;
+  opts.cluster.seed(12);
   opts.load_duration = 200 * sim::kMillisecond;
   const auto res = run_scenario(opts);
   EXPECT_TRUE(res.all_admitted_committed);
@@ -103,7 +103,7 @@ TEST(Workload, ClosedLoopKeepsOutstandingBoundedAndDrains) {
 TEST(Workload, BurstPresetCommitsEverything) {
   ScenarioOptions opts;
   opts.preset = Preset::kBurst;
-  opts.seed = 13;
+  opts.cluster.seed(13);
   opts.load_duration = 200 * sim::kMillisecond;
   opts.rate_per_sec = 400;
   const auto res = run_scenario(opts);
@@ -115,12 +115,12 @@ TEST(Workload, BurstPresetCommitsEverything) {
 TEST(Workload, TinyMempoolAppliesBackpressure) {
   ScenarioOptions opts;
   opts.preset = Preset::kSteadyState;
-  opts.seed = 14;
+  opts.cluster.seed(14);
   opts.load_duration = 150 * sim::kMillisecond;
   opts.rate_per_sec = 4000;
   opts.clients = 2;
-  opts.mempool_capacity = 4;
-  opts.max_batch_txs = 2;  // drain slowly so the bound actually binds
+  opts.cluster.mempool(4, multishot::MempoolPolicy::kRejectNew)
+      .batching(2, 8192);  // drain slowly so the bound actually binds
   const auto res = run_scenario(opts);
   EXPECT_GT(res.report.rejected, 0u);
   EXPECT_EQ(res.report.rejected, res.report.mempool_rejected);
@@ -135,12 +135,10 @@ TEST(Workload, TinyMempoolAppliesBackpressure) {
 TEST(Workload, DropOldestPolicySurfacesDropsAsMetric) {
   ScenarioOptions opts;
   opts.preset = Preset::kSteadyState;
-  opts.seed = 15;
+  opts.cluster.seed(15);
   opts.load_duration = 150 * sim::kMillisecond;
   opts.rate_per_sec = 4000;
-  opts.mempool_capacity = 4;
-  opts.max_batch_txs = 2;
-  opts.mempool_policy = multishot::MempoolPolicy::kDropOldest;
+  opts.cluster.mempool(4, multishot::MempoolPolicy::kDropOldest).batching(2, 8192);
   const auto res = run_scenario(opts);
   EXPECT_GT(res.report.mempool_dropped_oldest, 0u);
   // Dropped-oldest loses admitted requests by design; the exactly-once
@@ -199,7 +197,7 @@ TEST(Workload, ClientRetryRescuesRequestsStrandedAtIsolatedReplica) {
   // accounting absorbs the duplicate submission.
   ScenarioOptions opts;
   opts.preset = Preset::kSteadyState;
-  opts.seed = 44;
+  opts.cluster.seed(44);
   opts.clients = 2;
   opts.rate_per_sec = 400;
   opts.load_duration = 200 * sim::kMillisecond;
@@ -211,19 +209,19 @@ TEST(Workload, ClientRetryRescuesRequestsStrandedAtIsolatedReplica) {
   opts.client_retry_timeout = 500 * sim::kMillisecond;
   // Benign pre-GST network for the whole (bounded) run so the adversary
   // below may drop node 3's outbound traffic at any time.
-  opts.gst = 1000 * sim::kSecond;
+  opts.cluster.sim_gst(1000 * sim::kSecond);
   opts.drain_deadline = 120 * sim::kSecond;
 
   WorkloadRig rig = make_rig(opts);
-  rig.sim->network().set_adversary([](const sim::Envelope& env, sim::SimTime)
+  rig.sim().network().set_adversary([](const sim::Envelope& env, sim::SimTime)
                                        -> std::optional<sim::DeliveryDecision> {
     if (env.src == 3) return sim::DeliveryDecision{/*drop=*/true, 0};
     return std::nullopt;  // benign stochastics (no drops, delta_actual delay)
   });
-  rig.sim->start();
-  const bool drained = rig.sim->run_until_pred(
+  rig.sim().start();
+  const bool drained = rig.sim().run_until_pred(
       [&] {
-        return rig.sim->now() >= opts.load_duration && rig.tracker->admitted() > 0 &&
+        return rig.sim().now() >= opts.load_duration && rig.tracker->admitted() > 0 &&
                rig.tracker->all_admitted_committed();
       },
       opts.drain_deadline);
@@ -237,7 +235,7 @@ TEST(Workload, ClientRetryRescuesRequestsStrandedAtIsolatedReplica) {
 
   // Accounting sanity: retries re-submit existing tags; they never mint new
   // logical requests.
-  const auto report = rig.tracker->report(rig.sim->now());
+  const auto report = rig.tracker->report(rig.sim().now());
   EXPECT_EQ(report.retried, rig.tracker->retried());
   EXPECT_EQ(report.committed, report.admitted);
 }

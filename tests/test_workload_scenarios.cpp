@@ -13,7 +13,7 @@ namespace {
 ScenarioOptions small_run(Preset preset, std::uint64_t seed) {
   ScenarioOptions opts;
   opts.preset = preset;
-  opts.seed = seed;
+  opts.cluster.seed(seed);
   opts.load_duration = 300 * sim::kMillisecond;
   opts.rate_per_sec = 800;
   opts.clients = 2;
