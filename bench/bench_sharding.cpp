@@ -315,7 +315,11 @@ int main(int argc, char** argv) {
       .field("batch_txs", cfg.batch_txs)
       .field("batch_bytes", cfg.batch_bytes);
   for (const SweepResult& r : results) {
-    const std::string p = "s" + std::to_string(r.shards) + "_";
+    // Appended, not chained with operator+: GCC 12 reports a false
+    // -Wrestrict for "literal" + std::string at -O3.
+    std::string p = "s";
+    p += std::to_string(r.shards);
+    p += '_';
     report.field(p + "txs", static_cast<std::uint64_t>(r.txs))
         .field(p + "tx_per_sec", r.tx_per_sec)
         .field(p + "drain_s", r.drain_s)

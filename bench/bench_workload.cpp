@@ -181,6 +181,8 @@ int main(int argc, char** argv) {
   //    commits under a quarter of the offered load. (Where depth-1 already
   //    keeps up with a large fraction of the offered rate, doubling it would
   //    exceed what clients submit -- arithmetically unsatisfiable.)
+  //  - no request pays for pipelining: at the base (unloaded) rate, every
+  //    depth-N cell's p50 stays within 1.5x of its depth-1 counterpart's.
   const auto cell_at = [&](double r, std::uint32_t b, std::uint32_t d) -> const Cell* {
     for (const auto& c : frontier) {
       if (c.rate == r && c.batch == b && c.depth == d) return &c;
@@ -218,6 +220,18 @@ int main(int argc, char** argv) {
                   d4->report.committed_tx_per_sec, d1->report.committed_tx_per_sec,
                   doubled ? "PASS" : "FAIL");
       if (!doubled) ok = false;
+    }
+  }
+  for (const std::uint32_t b : batches) {
+    const Cell* d1 = cell_at(rates.front(), b, 1);
+    for (const std::uint32_t d : depths) {
+      const Cell* dn = cell_at(rates.front(), b, d);
+      if (d == 1 || d1 == nullptr || dn == nullptr) continue;
+      const bool within = dn->report.latency_p50_ms <= 1.5 * d1->report.latency_p50_ms;
+      std::printf("depth-cost gate (r%g b%u): depth-%u p50 %.2f ms vs 1.5x depth-1 %.2f ms: %s\n",
+                  rates.front(), b, d, dn->report.latency_p50_ms,
+                  1.5 * d1->report.latency_p50_ms, within ? "PASS" : "FAIL");
+      if (!within) ok = false;
     }
   }
 

@@ -123,6 +123,9 @@ bool MultishotNode::submit_tx(std::vector<std::uint8_t> tx) {
       return true;
     }
   }
+  // Read before the push: a pool holding anything is not idle, so under load
+  // this costs one branch.
+  const bool was_idle = cfg_.forward_to_leader && cfg_.pipeline_depth > 1 && idle_quiescent();
   const auto verdict = mempool_.push(std::move(tx), cfg_.max_batch_bytes, h);
   switch (verdict) {
     case BoundedMempool::Admit::kRejected:
@@ -138,27 +141,48 @@ bool MultishotNode::submit_tx(std::vector<std::uint8_t> tx) {
   metrics.histogram("multishot.mempool.depth").record(static_cast<double>(mempool_.size()));
   if (verdict == BoundedMempool::Admit::kRejected) return false;
 
-  // Single-hop relay: when another node leads the proposal frontier, hand
-  // the request to it (the entry just pushed is entries().back() on every
-  // admission path).
-  forward_if_foreign_leader(mempool_.entries().back());
+  // Single-hop relay: when another node proposes next, hand the request to
+  // it (the entry just pushed is entries().back() on every admission path).
+  forward_if_foreign_leader(mempool_.entries().back(), was_idle);
   after_admission();
   return true;
 }
 
-void MultishotNode::forward_if_foreign_leader(BoundedMempool::Entry& e) {
+Slot MultishotNode::forward_slot(bool was_idle) const {
+  Slot s = proposal_frontier();
+  if (cfg_.pipeline_depth == 1) return s;
+  // The frontier leader of a moving pipeline has already proposed: relaying
+  // to it makes the request wait a whole stripe rotation for that leader's
+  // next turn. Aim at the first proposal made after the relay lands, counted
+  // from the first slot whose proposal has not reached us.
+  const auto proposal_seen = [this](Slot t) {
+    const SlotState* st = slots_.find(t);
+    return st != nullptr && st->proposal_by_view.find(st->view) != nullptr;
+  };
+  while (proposal_seen(s)) ++s;  // bounded by the slot window
+  if (was_idle) return s;
+  Slot target = s + kForwardLead;
+  // A relay landing just after the target's proposal rides the same
+  // leader's next slot -- unless the target ends its stripe, where it would
+  // wait n * depth slots for that leader's next turn. The next stripe's
+  // leader is sure to propose after the relay lands.
+  if (target % cfg_.pipeline_depth == 0) ++target;
+  return target;
+}
+
+void MultishotNode::forward_if_foreign_leader(BoundedMempool::Entry& e, bool was_idle) {
   if (!cfg_.forward_to_leader) return;
   // Relay both into a suppressed (parked) chain -- resuming an idle chain in
   // ~1 delta instead of the ~9 delta view-change rotation -- and under load,
-  // where the frontier leader batches the request into its next proposal
-  // instead of the bytes waiting up to n * pipeline_depth slots for the
-  // submitter's own stripe. The loaded path was once disabled over a
+  // where the leader of forward_slot() batches the request into its next
+  // proposal instead of the bytes waiting up to n * pipeline_depth slots for
+  // the submitter's own stripe. The loaded path was once disabled over a
   // double-commit race between the two pools' inclusion; that window is
   // closed by the hold below plus the commit-index and pending-candidate
   // probes in build_batch (verified by the ForwardSpec checker).
   if (cfg_.max_slots != 0) return;
-  const Slot frontier = proposal_frontier();
-  const NodeId leader = cfg_.leader_of(frontier, view_of(frontier));
+  const Slot target = forward_slot(was_idle);
+  const NodeId leader = cfg_.leader_of(target, view_of(target));
   if (leader == ctx().id()) return;
   // The relay owns the request for one retry period: holding the local
   // fallback copy out of our own batches keeps the same bytes from racing
@@ -405,13 +429,6 @@ std::optional<std::uint64_t> MultishotNode::parent_for_proposal(Slot s) const {
   if (const auto n = chain_.notarized(prev)) return n->hash;
   if (const SlotState* pst = slots_.find(prev); pst != nullptr) {
     if (const auto* h = pst->proposal_by_view.find(pst->view)) return *h;
-    // Stripe chaining (pipeline_depth > 1): our own just-proposed candidate
-    // is a valid parent before its broadcast loops back into
-    // proposal_by_view. Stale after a view change (self_view mismatch).
-    if (cfg_.pipeline_depth > 1 && pst->self_view == pst->view &&
-        pst->self_hash != 0) {
-      return pst->self_hash;
-    }
   }
   return std::nullopt;
 }
@@ -421,6 +438,12 @@ void MultishotNode::try_propose(Slot s) {
   SlotState* st = slot_state(s, true);
   if (st == nullptr || st->proposed) return;
   if (cfg_.leader_of(s, st->view) != ctx().id()) return;
+  // Bounded run-ahead (pipeline_depth > 1, see kRunAheadLead): a fresh
+  // proposal past the lead waits for the frontier; on_notarized retries it.
+  // Rule-1 re-proposals (views > 0) are never held.
+  if (cfg_.pipeline_depth > 1 && st->view == 0 && s >= proposal_frontier() + kRunAheadLead) {
+    return;
+  }
 
   const auto parent = parent_for_proposal(s);
   if (!parent) return;
@@ -495,8 +518,6 @@ void MultishotNode::try_propose(Slot s) {
   }
 
   st->proposed = true;
-  st->self_hash = h;
-  st->self_view = st->view;
   chain_.add_block(block, h);
   // The proposal is the leader's implicit vote for its own slot (paper
   // §6.1): record vote-1 locally; the broadcast is counted by receivers.
@@ -507,25 +528,15 @@ void MultishotNode::try_propose(Slot s) {
     }
   }
   do_propose(s, st->view, block);
-  if (cfg_.pipeline_depth > 1) try_chain_ahead(s);
 }
 
-void MultishotNode::try_chain_ahead(Slot s) {
-  // Drive the rest of this stripe without waiting for the broadcast of slot
-  // s to loop back: up to pipeline_depth consecutive led slots in flight
-  // before the earliest finalizes, each chaining on the previous candidate.
-  // Only fresh view-0 proposals chain (views > 0 re-propose per slot through
-  // Rule 1), and only while real work is pending -- filler never rides the
-  // pipeline ahead of the frontier. Recursion through try_propose walks to
-  // the stripe boundary and stops (the next stripe has a different leader).
-  const Slot t = s + 1;
-  if (cfg_.max_slots != 0 && t > cfg_.max_slots) return;
-  if (mempool_.available() == 0) return;
-  if (cfg_.leader_of(t, 0) != ctx().id()) return;  // stripe boundary
-  SlotState* st = slot_state(t, true);
-  if (st == nullptr || st->view != 0 || st->proposed) return;
-  start_slot(t);
-  try_propose(t);
+Slot MultishotNode::run_ahead() const {
+  const Slot frontier = proposal_frontier();
+  Slot ahead = 0;
+  slots_.for_each([&](Slot s, const SlotState& st) {
+    if (st.proposed && st.view == 0 && s >= frontier) ahead = std::max(ahead, s - frontier + 1);
+  });
+  return ahead;
 }
 
 std::uint32_t MultishotNode::led_inflight() const {
@@ -621,6 +632,11 @@ void MultishotNode::on_notarized(Slot s) {
   try_vote(s);
   try_vote(s + 1);
   try_propose(s + 1);
+  // The frontier moved: retry the fresh proposals the run-ahead bound held.
+  if (cfg_.pipeline_depth > 1) {
+    const Slot frontier = proposal_frontier();
+    for (Slot t = std::max(s + 2, frontier); t < frontier + kRunAheadLead; ++t) try_propose(t);
+  }
 }
 
 // An equivocating leader can split one view's votes so that slot s

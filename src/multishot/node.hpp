@@ -83,9 +83,11 @@ struct MultishotConfig {
   bool enable_sync{true};
 
   // --- Client-request forwarding ---
-  /// Forward transactions submitted to a non-leader to the proposal-frontier
-  /// leader (single-hop relay; receivers dedup by content hash and never
-  /// re-forward), cutting idle-chain resume from ~9 delta to ~1 delta.
+  /// Forward transactions submitted to a non-leader to the replica that
+  /// proposes next -- the proposal-frontier leader at depth 1, see
+  /// forward_slot() -- as a single-hop relay (receivers dedup by content
+  /// hash and never re-forward), cutting idle-chain resume from ~9 delta to
+  /// ~1 delta.
   bool forward_to_leader{true};
   /// How long the submitter's local fallback copy stays out of its own
   /// batches after forwarding (relay failure recovery). 0 = 2 * view_timeout().
@@ -106,12 +108,14 @@ struct MultishotConfig {
   MempoolPolicy mempool_policy{MempoolPolicy::kRejectNew};
 
   // --- Slot pipelining + adaptive batching (DESIGN_PERF.md) ---
-  /// How many consecutive led slots a leader may drive before the earliest
-  /// finalizes. Depth 1 is the classic per-slot rotation (byte-identical to
-  /// the pre-pipelining protocol). Depth > 1 stripes the rotating-leader
-  /// schedule into runs of `pipeline_depth` slots per leader, and a leader
-  /// chains fresh proposals across its stripe on its own candidate parents
-  /// without waiting for its broadcasts to loop back.
+  /// Length of each leader's stripe: depth > 1 stripes the rotating-leader
+  /// schedule into runs of `pipeline_depth` consecutive slots per leader
+  /// (see leader_of), so a request waits for at most one stripe hand-off
+  /// rather than one slot rotation per proposer. Depth 1 is the classic
+  /// per-slot rotation (byte-identical to the pre-pipelining protocol).
+  /// Depth does not widen the in-flight window: fresh view-0 proposals
+  /// still occupy at most the MultishotNode::kRunAheadLead slots from the
+  /// notarization frontier on, the lead depth 1 keeps on its own.
   std::uint32_t pipeline_depth{1};
   /// Adaptive batching ceiling: when > max_batch_txs, the effective batch
   /// caps of a fresh proposal scale with the observed mempool backlog
@@ -217,6 +221,22 @@ class MultishotNode : public runtime::ProtocolNode {
   /// (bounded-storage regression tests).
   [[nodiscard]] std::size_t slot_slabs() const noexcept { return slots_.slab_count(); }
 
+  /// Run-ahead bound (pipeline_depth > 1): a fresh view-0 proposal for slot
+  /// s is made only while s < proposal_frontier() + kRunAheadLead, so at
+  /// most two unnotarized slots carry this node's fresh proposals -- one
+  /// proposal travelling (a delay to propose) and one collecting votes (a
+  /// delay to vote). That is the lead depth 1 keeps on its own: there the
+  /// leader of s proposes on receipt of the proposal for s-1, in the same
+  /// delay step in which the votes notarizing s-2 land. A proposal further
+  /// ahead is voted no sooner (each vote waits for the parent's
+  /// notarization); it only cuts its batch early and queues requests behind
+  /// the serial notarizations.
+  static constexpr Slot kRunAheadLead = 2;
+  /// Slots from proposal_frontier() through this node's furthest live view-0
+  /// proposal (0 when it holds none there). Never exceeds kRunAheadLead at
+  /// pipeline_depth > 1.
+  [[nodiscard]] Slot run_ahead() const;
+
   // --- Durability (src/storage/) ---
   /// Resume the chain from durable state (checkpoint + commit blob + WAL
   /// tail). Pre-start only: replay bypasses commit/mempool hooks -- those
@@ -283,11 +303,6 @@ class MultishotNode : public runtime::ProtocolNode {
     /// for (MsBlockRequest). Replies are accepted only against this or the
     /// slot's recorded notarization hash.
     std::uint64_t wanted_hash{0};
-    /// My own proposal for this slot (hash + the view it was proposed in):
-    /// the stripe-chaining parent fallback (pipeline_depth > 1) before the
-    /// broadcast loops back into proposal_by_view.
-    std::uint64_t self_hash{0};
-    View self_view{kNoView};
     core::VoteRecord record;                     // implicit per-slot phase history
     std::vector<std::optional<MsSuggest>> suggests;  // latest per sender
     std::vector<std::optional<MsProof>> proofs;      // latest per sender
@@ -308,8 +323,6 @@ class MultishotNode : public runtime::ProtocolNode {
       proposed = false;
       extra_candidates = 0;
       wanted_hash = 0;
-      self_hash = 0;
-      self_view = kNoView;
       record = core::VoteRecord{};
       suggests.assign(suggests.size(), std::nullopt);
       proofs.assign(proofs.size(), std::nullopt);
@@ -379,11 +392,6 @@ class MultishotNode : public runtime::ProtocolNode {
   [[nodiscard]] bool idle_quiescent() const;
 
   void try_propose(Slot s);
-  /// Stripe chaining (pipeline_depth > 1): having proposed slot s, propose
-  /// the next slot of the stripe on the just-created candidate parent when
-  /// this node leads it and real work is pending (recursive through
-  /// try_propose, bounded by the stripe).
-  void try_chain_ahead(Slot s);
   /// Slots this node proposed that are still unfinalized under its
   /// leadership -- the in-flight count the adaptive batch control law
   /// spreads the backlog across. Bounded window sweep, proposal-time only.
@@ -443,9 +451,22 @@ class MultishotNode : public runtime::ProtocolNode {
   [[nodiscard]] runtime::Duration forward_retry() const noexcept {
     return cfg_.forward_retry > 0 ? cfg_.forward_retry : 2 * cfg_.view_timeout();
   }
-  /// Relay a freshly admitted local submission to the frontier leader when
-  /// that is not us; holds the local copy out of our own batches meanwhile.
-  void forward_if_foreign_leader(BoundedMempool::Entry& e);
+  /// Forward target offset (pipeline_depth > 1) past the first slot with no
+  /// proposal seen here: that slot's proposal is already on the wire
+  /// (proposals arrive one delta after they are made), and the next one is
+  /// made while the relay travels its own delta. The first proposal made
+  /// after the relay lands is two slots on.
+  static constexpr Slot kForwardLead = 2;
+  /// The slot whose proposer a relay sent now should reach. Depth 1: the
+  /// proposal frontier. Depth > 1: kForwardLead past the first slot with no
+  /// proposal seen -- or that slot itself when the chain was idle before
+  /// this admission (`was_idle`), since a parked chain proposes nothing
+  /// until its next leader holds the request.
+  [[nodiscard]] Slot forward_slot(bool was_idle) const;
+  /// Relay a freshly admitted local submission to the leader of
+  /// forward_slot() when that is not us; holds the local copy out of our own
+  /// batches meanwhile.
+  void forward_if_foreign_leader(BoundedMempool::Entry& e, bool was_idle);
   /// Wake paths shared by local submissions and received forwards: batch
   /// timer cancellation and idle-chain resume.
   void after_admission();

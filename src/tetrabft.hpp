@@ -302,9 +302,10 @@ class ClusterBuilder {
   /// empty-mempool leader defers a fresh proposal waiting for load.
   ClusterBuilder& batching(std::uint32_t max_txs, std::uint32_t max_bytes,
                            runtime::Duration timeout = 0);
-  /// Slot pipelining: a leader may have up to `depth` consecutive led slots
-  /// proposed before the earliest finalizes (1 = classic one-at-a-time, and
-  /// byte-identical to it). Must be in [1, 16].
+  /// Slot pipelining: each leader owns stripes of `depth` consecutive slots
+  /// (1 = classic per-slot rotation, and byte-identical to it). At any
+  /// depth, fresh proposals occupy at most the two slots from the
+  /// notarization frontier on. Must be in [1, 16].
   ClusterBuilder& pipelining(std::uint32_t depth);
   /// Adaptive batching: under mempool backlog the per-proposal caps grow
   /// toward `max_txs` transactions (byte budget scales in proportion).
@@ -313,7 +314,7 @@ class ClusterBuilder {
   ClusterBuilder& mempool(std::size_t capacity, multishot::MempoolPolicy policy);
   /// Resident finalized blocks kept behind the compaction checkpoint.
   ClusterBuilder& storage_tail(std::size_t blocks);
-  /// Relay submissions to the frontier leader while the chain idles.
+  /// Relay submissions to the replica that proposes next (on by default).
   ClusterBuilder& forwarding(bool on);
   /// Simulated actual delay (build_sim only; build_local runs on real time).
   ClusterBuilder& sim_delta_actual(runtime::Duration delta);
